@@ -11,7 +11,7 @@
 //      single-config `check` requests, plus the `check_batch` verb whose slots
 //      must be byte-identical to the standalone responses (gated).
 //   3. Socket serve path — the acceptance gate. The same comparison through a
-//      worker behind a real Unix socket: 100 single-config round trips vs one
+//      Service behind a real Unix socket: 100 single-config round trips vs one
 //      round trip whose `check` carries all 100 configs into one batched
 //      Check. This is the deployment batching exists for (a CI/CD client
 //      validating a fleet), and where the fixed cost being amortized —
@@ -29,6 +29,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,7 +49,6 @@
 #include "src/learn/index.h"
 #include "src/learn/learner.h"
 #include "src/service/service.h"
-#include "src/service/shard_router.h"
 #include "src/service/socket_server.h"
 #include "src/util/stopwatch.h"
 #include "src/util/trace.h"
@@ -159,22 +160,24 @@ std::string CheckBatchLine(const GeneratedCorpus& corpus, size_t count) {
   return request.Serialize(0);
 }
 
-// One request over a fresh connection — the shape of a CI loop shelling out
-// per config (each CLI/curl invocation dials, sends one line, reads one
-// line, hangs up). The batched client pays this setup once for all 100
-// configs; the sequential baseline pays it per config.
-std::string RoundTrip(const std::string& socket_path, const std::string& line) {
+// Dials the server's Unix socket; -1 on failure.
+int Dial(const std::string& socket_path) {
   int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) {
-    return "";
+    return -1;
   }
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return "";
+    return -1;
   }
+  return fd;
+}
+
+// One NDJSON request/response on a connected fd ("" on a transport failure).
+std::string Exchange(int fd, const std::string& line) {
   std::string framed = line;
   framed.push_back('\n');
   size_t written = 0;
@@ -184,7 +187,6 @@ std::string RoundTrip(const std::string& socket_path, const std::string& line) {
       if (errno == EINTR) {
         continue;
       }
-      ::close(fd);
       return "";
     }
     written += static_cast<size_t>(n);
@@ -204,62 +206,66 @@ std::string RoundTrip(const std::string& socket_path, const std::string& line) {
       break;
     }
   }
-  ::close(fd);
   while (!reply.empty() && (reply.back() == '\n' || reply.back() == '\r')) {
     reply.pop_back();
   }
   return reply;
 }
 
-// In-process workers behind real Unix sockets fronted by a ShardRouter — the
-// same wiring `concord serve --shards N` builds with processes, and the same
-// harness bench_store uses. One shard is enough here: the gate measures
-// round-trip amortization, not fan-out.
-struct Cluster {
-  std::vector<std::unique_ptr<Service>> workers;
-  std::vector<std::unique_ptr<std::ostringstream>> errs;
-  std::vector<std::thread> threads;
-  std::vector<std::string> socket_paths;
-  std::unique_ptr<ShardRouter> router;
+// One request over a fresh connection — the shape of a CI loop shelling out
+// per config (each CLI/curl invocation dials, sends one line, reads one
+// line, hangs up). The batched client pays this setup once for all 100
+// configs; the sequential baseline pays it per config.
+std::string RoundTrip(const std::string& socket_path, const std::string& line) {
+  int fd = Dial(socket_path);
+  if (fd < 0) {
+    return "";
+  }
+  std::string reply = Exchange(fd, line);
+  ::close(fd);
+  return reply;
+}
 
-  static std::unique_ptr<Cluster> Start(const std::filesystem::path& dir,
-                                        size_t shards) {
-    auto cluster = std::make_unique<Cluster>();
-    ShardRouterOptions options;
-    for (size_t i = 0; i < shards; ++i) {
-      std::string socket =
-          (dir / ("batch-" + std::to_string(i) + ".sock")).string();
-      options.worker_sockets.push_back(socket);
-      cluster->socket_paths.push_back(socket);
-      cluster->workers.push_back(std::make_unique<Service>(ServiceOptions{}));
-      cluster->errs.push_back(std::make_unique<std::ostringstream>());
-      SocketServerOptions server;
-      server.install_signal_handlers = false;
-      server.idle_timeout_ms = 0;
-      Service* worker = cluster->workers.back().get();
-      std::ostringstream* err = cluster->errs.back().get();
-      cluster->threads.emplace_back([worker, err, socket, server] {
-        RunHandlerSocket(*worker, socket, *err, nullptr, server);
-      });
+// One in-thread Service behind a real Unix socket, served by the same
+// frontend `concord serve --socket` runs.
+struct SocketService {
+  Service service{ServiceOptions{}};
+  std::ostringstream err;
+  std::string socket_path;
+  std::thread thread;
+
+  static std::unique_ptr<SocketService> Start(const std::filesystem::path& dir) {
+    auto server = std::make_unique<SocketService>();
+    server->socket_path = (dir / "batch.sock").string();
+    SocketServerOptions options;
+    options.install_signal_handlers = false;
+    options.idle_timeout_ms = 0;  // The persistent client idles between phases.
+    SocketService* raw = server.get();
+    server->thread = std::thread([raw, options] {
+      RunServiceSocket(raw->service, raw->socket_path, raw->err, nullptr, options);
+    });
+    for (int attempt = 0; attempt < 500; ++attempt) {
+      int fd = Dial(server->socket_path);
+      if (fd >= 0) {
+        ::close(fd);
+        return server;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    cluster->router = std::make_unique<ShardRouter>(options);
-    std::string error;
-    if (!cluster->router->Connect(&error)) {
-      std::fprintf(stderr, "bench_batch: cluster connect failed: %s\n",
-                   error.c_str());
-      return nullptr;
-    }
-    return cluster;
+    std::fprintf(stderr, "bench_batch: socket server did not come up at %s\n",
+                 raw->socket_path.c_str());
+    return nullptr;
   }
 
-  ~Cluster() {
-    if (router != nullptr && !router->shutdown_requested()) {
-      router->HandleLine(R"({"v":1,"verb":"shutdown"})");
+  ~SocketService() {
+    // Drain: flag the shutdown, then wake the loop with a throwaway dial.
+    service.RequestShutdown();
+    int fd = Dial(socket_path);
+    if (fd >= 0) {
+      ::close(fd);
     }
-    for (std::thread& thread : threads) {
-      if (thread.joinable()) {
-        thread.join();
-      }
+    if (thread.joinable()) {
+      thread.join();
     }
   }
 };
@@ -490,21 +496,23 @@ int main() {
   double socket_batch_speedup = 0;
   bool socket_slots_identical = false;
   bool socket_ok = false;
-  if (std::unique_ptr<Cluster> cluster = Cluster::Start(socket_dir, 1)) {
+  std::unique_ptr<SocketService> server = SocketService::Start(socket_dir);
+  int client = server != nullptr ? Dial(server->socket_path) : -1;
+  if (client >= 0) {
     socket_ok = true;
-    cluster->router->HandleLine(LearnLine(corpus, sample_size));
+    Exchange(client, LearnLine(corpus, sample_size));
     for (const std::string& line : single_lines) {  // Warm every cache.
-      cluster->router->HandleLine(line);
+      Exchange(client, line);
     }
     std::vector<std::string> socket_oracle;
     for (const std::string& line : single_lines) {
-      socket_oracle.push_back(cluster->router->HandleLine(line));
+      socket_oracle.push_back(Exchange(client, line));
     }
-    cluster->router->HandleLine(wide_line);
-    cluster->router->HandleLine(batch_line);
+    Exchange(client, wide_line);
+    Exchange(client, batch_line);
 
     std::optional<JsonValue> batch_response =
-        JsonValue::Parse(cluster->router->HandleLine(batch_line));
+        JsonValue::Parse(Exchange(client, batch_line));
     const JsonValue* results =
         batch_response ? batch_response->Find("results") : nullptr;
     if (results != nullptr && results->is_array() &&
@@ -518,31 +526,31 @@ int main() {
       }
     }
 
-    const std::string& worker_socket = cluster->socket_paths[0];
-    RoundTrip(worker_socket, single_lines[0]);  // Warm the accept path.
+    const std::string& server_socket = server->socket_path;
+    RoundTrip(server_socket, single_lines[0]);  // Warm the accept path.
     const int kSocketReps = EnvInt("CONCORD_BATCH_SOCKET_REPS", 5);
     Stopwatch socket_seq_watch;
     for (int r = 0; r < kSocketReps; ++r) {
       for (const std::string& line : single_lines) {
-        RoundTrip(worker_socket, line);
+        RoundTrip(server_socket, line);
       }
     }
     socket_seq_s = socket_seq_watch.ElapsedSeconds() / kSocketReps;
     Stopwatch socket_persistent_watch;
     for (int r = 0; r < kSocketReps; ++r) {
       for (const std::string& line : single_lines) {
-        cluster->router->HandleLine(line);
+        Exchange(client, line);
       }
     }
     socket_persistent_s = socket_persistent_watch.ElapsedSeconds() / kSocketReps;
     Stopwatch socket_wide_watch;
     for (int r = 0; r < kSocketReps; ++r) {
-      RoundTrip(worker_socket, wide_line);
+      RoundTrip(server_socket, wide_line);
     }
     socket_wide_s = socket_wide_watch.ElapsedSeconds() / kSocketReps;
     Stopwatch socket_batch_watch;
     for (int r = 0; r < kSocketReps; ++r) {
-      RoundTrip(worker_socket, batch_line);
+      RoundTrip(server_socket, batch_line);
     }
     socket_batch_s = socket_batch_watch.ElapsedSeconds() / kSocketReps;
     socket_wide_speedup = socket_wide_s > 0 ? socket_seq_s / socket_wide_s : 0;
@@ -564,9 +572,11 @@ int main() {
                 socket_batch_speedup);
     std::printf("socket check_batch slots byte-identical: %s\n",
                 socket_slots_identical ? "yes" : "NO");
+    ::close(client);
   } else {
-    std::printf("\nsocket phase skipped: cluster failed to start\n");
+    std::printf("\nsocket phase skipped: server failed to start\n");
   }
+  server.reset();
   std::filesystem::remove_all(socket_dir);
 
   // ---- 4. Million-line scale sweep: one batched check per corpus slice. ----

@@ -1,31 +1,21 @@
-// Durable-store and shard-router harness (DESIGN.md §10): cold learn+persist vs
-// warm restart from disk, then check throughput through a 1/2/4-shard router
-// cluster (in-process workers behind real Unix sockets — the same wiring
-// `concord serve --shards N` builds with processes).
+// Durable-store harness (DESIGN.md §10): cold learn+persist vs warm restart
+// from disk.
 //
 // The shape to look for: the warm restart loads persisted contracts in
-// milliseconds where the cold path pays the full learn, and every response —
-// warm or sharded — is byte-identical to the cold single-process run (that
-// identity is the acceptance bar, recorded in BENCH_STORE.json).
+// milliseconds where the cold path pays the full learn, and the warm response
+// is byte-identical to the cold run's (that identity is the acceptance bar,
+// recorded in BENCH_STORE.json).
 #include <cstdio>
 #include <filesystem>
-#include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/format/json.h"
 #include "src/service/service.h"
-#include "src/service/shard_router.h"
-#include "src/service/socket_server.h"
 #include "src/util/stopwatch.h"
 
 namespace concord {
 namespace {
-
-constexpr int kCheckIterations = 10;
 
 std::string LearnLine(const GeneratedCorpus& corpus) {
   JsonValue request = JsonValue::Object();
@@ -62,57 +52,6 @@ std::string CheckLine(const GeneratedCorpus& corpus) {
   return request.Serialize(0);
 }
 
-// An in-process N-shard cluster: workers served over Unix sockets by threads,
-// fronted by a ShardRouter.
-struct Cluster {
-  std::vector<std::unique_ptr<Service>> workers;
-  std::vector<std::unique_ptr<std::ostringstream>> errs;
-  std::vector<std::thread> threads;
-  std::unique_ptr<ShardRouter> router;
-
-  static std::unique_ptr<Cluster> Start(const std::filesystem::path& dir,
-                                        size_t shards) {
-    auto cluster = std::make_unique<Cluster>();
-    ShardRouterOptions options;
-    for (size_t i = 0; i < shards; ++i) {
-      std::string socket =
-          (dir / ("bench-" + std::to_string(shards) + "-" + std::to_string(i) +
-                  ".sock"))
-              .string();
-      options.worker_sockets.push_back(socket);
-      cluster->workers.push_back(std::make_unique<Service>(ServiceOptions{}));
-      cluster->errs.push_back(std::make_unique<std::ostringstream>());
-      SocketServerOptions server;
-      server.install_signal_handlers = false;
-      server.idle_timeout_ms = 0;
-      Service* worker = cluster->workers.back().get();
-      std::ostringstream* err = cluster->errs.back().get();
-      cluster->threads.emplace_back([worker, err, socket, server] {
-        RunHandlerSocket(*worker, socket, *err, nullptr, server);
-      });
-    }
-    cluster->router = std::make_unique<ShardRouter>(options);
-    std::string error;
-    if (!cluster->router->Connect(&error)) {
-      std::fprintf(stderr, "bench_store: cluster connect failed: %s\n",
-                   error.c_str());
-      return nullptr;
-    }
-    return cluster;
-  }
-
-  ~Cluster() {
-    if (router != nullptr && !router->shutdown_requested()) {
-      router->HandleLine(R"({"v":1,"verb":"shutdown"})");
-    }
-    for (std::thread& thread : threads) {
-      if (thread.joinable()) {
-        thread.join();
-      }
-    }
-  }
-};
-
 }  // namespace
 }  // namespace concord
 
@@ -129,12 +68,10 @@ int main() {
   std::string check = CheckLine(corpus);
   std::string store_dir = (dir / "store").string();
 
-  // Cold: learn from scratch, persisting into the store. Two references: the
-  // first check parses every config (cold caches), repeats hit the caches —
-  // their cache counters differ, and merged responses must match each exactly.
+  // Cold: learn from scratch, persisting into the store. The reference is the
+  // first check (cold caches), which the warm restart's first check must match.
   double cold_learn_s = 0;
   std::string reference;
-  std::string reference_warm_cache;
   {
     ServiceOptions options;
     options.store_dir = store_dir;
@@ -143,7 +80,6 @@ int main() {
     cold.HandleLine(learn);
     cold_learn_s = watch.ElapsedSeconds();
     reference = cold.HandleLine(check);
-    reference_warm_cache = cold.HandleLine(check);
   }
 
   // Warm: a fresh process loads the persisted contracts instead of relearning.
@@ -163,46 +99,15 @@ int main() {
   std::printf("%-22s %10.4f %12s\n", "warm restart", warm_restart_s,
               warm_identical ? "yes" : "NO");
 
-  // Shard fan-out: identical merged responses, throughput per shard count.
-  bool all_pass = warm_identical;
-  std::string shard_json;
-  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
-    auto cluster = Cluster::Start(dir, shards);
-    if (cluster == nullptr) {
-      all_pass = false;
-      break;
-    }
-    cluster->router->HandleLine(learn);
-    bool identical = cluster->router->HandleLine(check) == reference;
-    Stopwatch watch;
-    for (int i = 0; i < kCheckIterations; ++i) {
-      identical = cluster->router->HandleLine(check) == reference_warm_cache &&
-                  identical;
-    }
-    double elapsed = watch.ElapsedSeconds();
-    double per_s = elapsed > 0 ? kCheckIterations / elapsed : 0;
-    all_pass = all_pass && identical;
-    std::printf("%-22s %10.4f %12s   (%.1f checks/s)\n",
-                (std::to_string(shards) + "-shard check x" +
-                 std::to_string(kCheckIterations))
-                    .c_str(),
-                elapsed, identical ? "yes" : "NO", per_s);
-    shard_json += "    {\"shards\": " + std::to_string(shards) +
-                  ", \"checks_per_s\": " + std::to_string(per_s) +
-                  ", \"identical\": " + (identical ? "true" : "false") + "}" +
-                  (shards < 4 ? "," : "") + "\n";
-  }
-
   std::string json =
       "{\n  \"bench\": \"store\",\n  \"dataset\": \"" + corpus.role +
       "\",\n  \"configs\": " + std::to_string(corpus.configs.size()) +
       ",\n  \"cold_learn_s\": " + std::to_string(cold_learn_s) +
       ",\n  \"warm_restart_s\": " + std::to_string(warm_restart_s) +
       ",\n  \"warm_identical\": " + (warm_identical ? "true" : "false") +
-      ",\n  \"shards\": [\n" + shard_json + "  ],\n" +
-      "  \"acceptance\": {\"byte_identical\": " +
-      (all_pass ? "true" : "false") + ", \"pass\": " +
-      (all_pass ? "true" : "false") + "}\n}\n";
+      ",\n  \"acceptance\": {\"byte_identical\": " +
+      (warm_identical ? "true" : "false") + ", \"pass\": " +
+      (warm_identical ? "true" : "false") + "}\n}\n";
 
   const char* out_path = "BENCH_STORE.json";
   if (std::FILE* f = std::fopen(out_path, "w")) {
@@ -212,8 +117,8 @@ int main() {
   } else {
     std::printf("\nwarning: could not write %s\n", out_path);
   }
-  std::printf("acceptance (warm + sharded responses byte-identical): %s\n",
-              all_pass ? "PASS" : "FAIL");
+  std::printf("acceptance (warm response byte-identical): %s\n",
+              warm_identical ? "PASS" : "FAIL");
   std::filesystem::remove_all(dir);
-  return all_pass ? 0 : 1;
+  return warm_identical ? 0 : 1;
 }

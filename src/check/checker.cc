@@ -196,7 +196,7 @@ CheckResult Checker::Check(const std::vector<const ParsedConfig*>& configs,
   std::vector<ConfigIndex> owned;
   {
     TraceSpan span("check", "index");
-    owned = BuildIndexes(configs, metadata, &deadline_);
+    owned = BuildIndexes(configs, metadata, nullptr);
   }
   std::vector<const ConfigIndex*> indexes;
   indexes.reserve(owned.size());
@@ -210,8 +210,6 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
                            bool measure_coverage) const {
   CheckOptions options;
   options.measure_coverage = measure_coverage;
-  options.deadline = deadline_;
-  options.collect_unique_log = collect_unique_log_;
   options.parallelism = parallelism_;
   options.pool = pool_;
   return Check(indexes, options);
@@ -787,19 +785,6 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
         }
         const ParsedLine& line = *index.lines[i];
         if (c.param >= line.values.size()) {
-          continue;
-        }
-        if (options.collect_unique_log) {
-          // Shard mode: record the observation (the router replays the merged
-          // log) and mark coverage locally — it is per-observation, so shards
-          // compute it exactly as the global pass would.
-          result.unique_log.push_back(UniqueObservationLogEntry{
-              contract_index, ci, line.line_number,
-              std::string(ValueTypeName(line.values[c.param].type())),
-              line.values[c.param].ToString()});
-          if (measure_coverage) {
-            MarkCovered(cover[ci], index, i, CoverageKind::kUnique);
-          }
           continue;
         }
         auto [pos, inserted] =

@@ -20,44 +20,22 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// The pre-redesign per-family spellings, kept for one release as aliases of
-// --knob <name>=<value>. One table row per legacy flag.
-const char* const kDeprecatedKnobFlags[] = {
-    "role",           "sites",          "devices-per-site",
-    "vlans-per-site", "ethernets",      "speed-gbps",
-    "drift-rate",     "type-noise-rate", "optional-feature-rate",
-    "devices",        "scale",          "clusters",
-    "nodes-per-cluster", "upstreams",   "ports",
-    "peers",          "pods",           "devices-per-pod",
-    "interfaces",
-};
-
-// The shared generator flag surface: --seed/--family/--knob/--out-dir plus the
-// deprecated aliases. Both `datagen` and `fuzz` call this.
+// The shared generator flag surface: --seed/--family/--knob/--out-dir. Both
+// `datagen` and `fuzz` call this.
 void AddGeneratorFlags(ArgParser* args) {
   args->AddFlag("seed", "generation seed (uint64)", "1");
   args->AddFlag("family", "generator family (repeatable; see --list-families)");
   args->AddFlag("knob", "family/fuzzer knob assignment key=value (repeatable)");
   args->AddFlag("out-dir", "output directory");
-  for (const char* name : kDeprecatedKnobFlags) {
-    args->AddFlag(name, std::string("deprecated: use --knob ") + name + "=<value>");
-  }
 }
 
-// Folds --knob assignments and any deprecated alias flags into `knobs`.
+// Folds --knob assignments into `knobs`.
 bool KnobsFromArgs(const ArgParser& args, Knobs* knobs, std::ostream& err) {
   for (const std::string& assignment : args.GetAll("knob")) {
     std::string error;
     if (!knobs->Assign(assignment, &error)) {
       err << "error: " << error << "\n";
       return false;
-    }
-  }
-  for (const char* name : kDeprecatedKnobFlags) {
-    if (args.Has(name)) {
-      err << "note: --" << name << " is deprecated; use --knob " << name << "="
-          << args.Get(name) << "\n";
-      knobs->Set(name, args.Get(name));
     }
   }
   return true;

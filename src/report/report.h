@@ -7,6 +7,7 @@
 #define SRC_REPORT_REPORT_H_
 
 #include <string>
+#include <vector>
 
 #include "src/analyze/analyzer.h"
 #include "src/check/checker.h"
@@ -17,26 +18,23 @@ namespace concord {
 
 // JSON document with per-violation contract text, config, line, and message, plus the
 // coverage summary. Degraded (skipped-input) entries carry the v1 error envelope
-// {"file","error":{"code","message"}}; `compat_v0` keeps the legacy
-// {"file","reason"} shape instead (the --compat-v0 flag).
+// {"file","error":{"code","message"}}.
 std::string ReportJson(const CheckResult& result, const ContractSet& set,
-                       const PatternTable& table, bool compat_v0 = false);
+                       const PatternTable& table);
 
 // The same report as a document value, for embedding in a larger response (the
 // service returns it inside each `check` reply; serializing this with indent 2
 // reproduces ReportJson byte for byte).
 JsonValue ReportJsonValue(const CheckResult& result, const ContractSet& set,
-                          const PatternTable& table, bool compat_v0 = false);
+                          const PatternTable& table);
+
+// The report's degraded section: one {"file","error":{"code","message"}} entry
+// per skipped input. The service's learn/update/check responses reuse it so
+// clients consume one schema.
+JsonValue DegradedJsonValue(const std::vector<SkippedFile>& skipped);
 
 // The coverage summary sub-object of the JSON report.
 JsonValue CoverageJsonValue(const CheckResult& result);
-
-// One violation as the report's array element ({category, contract, key,
-// config, line, message}). The shard router's replayed unique violations go
-// through this too, so merged reports stay byte-identical to single-process
-// ones.
-JsonValue ViolationJsonValue(const Violation& v, const ContractSet& set,
-                             const PatternTable& table);
 
 // Self-contained HTML page (inline CSS/JS; no external assets) with a search box and
 // per-category filters.

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/service/admission.h"
+#include "src/service/metrics.h"
 #include "src/util/error_code.h"
 #include "src/util/fault.h"
 #include "src/util/sync.h"
@@ -70,17 +71,12 @@ struct Conn {
   size_t out_off CONCORD_GUARDED_BY(mu) = 0;  // Prefix of `out` already sent.
 };
 
-// The one family of replies built outside LineHandler::HandleLine (shed work
-// and oversize lines never reach the parser), so both wire shapes are mirrored
-// by hand exactly as the service would render them. Messages are fixed strings
+// The one family of replies built outside Service::HandleLine (shed work and
+// oversize lines never reach the parser), so the v1 error envelope is mirrored
+// by hand exactly as the service would render it. Messages are fixed strings
 // with no characters needing JSON escaping.
-std::string FrontendErrorLine(ErrorCode code, const std::string& message,
-                              bool compat_v0) {
+std::string FrontendErrorLine(ErrorCode code, const std::string& message) {
   std::string name(ErrorCodeName(code));
-  if (compat_v0) {
-    return "{\"ok\":false,\"error\":\"" + name + ": " + message +
-           "\",\"errorCode\":\"" + name + "\"}";
-  }
   return "{\"v\":1,\"ok\":false,\"error\":{\"code\":\"" + name +
          "\",\"message\":\"" + message + "\"}}";
 }
@@ -118,9 +114,10 @@ std::string PeerIdentity(int fd, bool tcp) {
 
 class EventLoop {
  public:
-  EventLoop(LineHandler& handler, const SocketServerOptions& options,
+  EventLoop(Service& service, const SocketServerOptions& options,
             int signal_fd, std::ostream& err)
-      : handler_(handler),
+      : service_(service),
+        registry_(service.metrics().registry()),
         options_(options),
         signal_fd_(signal_fd),
         err_(err),
@@ -215,7 +212,7 @@ class EventLoop {
 
   bool Loop() {
     while (true) {
-      if (!draining_ && handler_.shutdown_requested()) {
+      if (!draining_ && service_.shutdown_requested()) {
         StartDrain();
       }
       if (draining_) {
@@ -242,8 +239,8 @@ class EventLoop {
         if (fd == signal_fd_) {
           // Parity with the poll()-era loop: the byte is left in the shared
           // signal pipe so every concurrently-running loop in this process
-          // observes the signal; RunHandlerSocket drains it after the run.
-          handler_.RequestShutdown();
+          // observes the signal; RunServiceSocket drains it after the run.
+          service_.RequestShutdown();
         } else if (fd == completion_fd_) {
           DrainCompletionFd();
         } else if (IsListener(fd)) {
@@ -318,8 +315,7 @@ class EventLoop {
             FrontendErrorLine(ErrorCode::kOverloaded,
                               "server overloaded: " +
                                   std::to_string(options_.max_connections) +
-                                  " connections already open",
-                              handler_.compat_v0()) +
+                                  " connections already open") +
             "\n";
         [[maybe_unused]] ssize_t n =
             ::send(client, reply.data(), reply.size(), MSG_NOSIGNAL);
@@ -340,14 +336,12 @@ class EventLoop {
         continue;
       }
       conns_.emplace(client, conn);
-      if (options_.registry != nullptr) {
-        options_.registry->Count("concord_frontend_connections_total",
-                                 "Connections accepted by the serve frontend.",
-                                 {{"transport", tcp ? "tcp" : "unix"}});
-        options_.registry->SetGauge("concord_frontend_open_connections",
-                                    "Currently open serve connections.", {},
-                                    static_cast<double>(conns_.size()));
-      }
+      registry_.Count("concord_frontend_connections_total",
+                      "Connections accepted by the serve frontend.",
+                      {{"transport", tcp ? "tcp" : "unix"}});
+      registry_.SetGauge("concord_frontend_open_connections",
+                         "Currently open serve connections.", {},
+                         static_cast<double>(conns_.size()));
     }
   }
 
@@ -457,8 +451,7 @@ class EventLoop {
     ParkReply(conn, FrontendErrorLine(
                         ErrorCode::kLineTooLong,
                         "request line exceeds " +
-                            std::to_string(options_.max_line_bytes) + " bytes",
-                        handler_.compat_v0()));
+                            std::to_string(options_.max_line_bytes) + " bytes"));
     conn.discard_input = true;
     conn.close_after_flush = true;
     conn.in.clear();
@@ -478,8 +471,7 @@ class EventLoop {
                       "rate limit exceeded: " +
                           std::to_string(options_.rate_limit) +
                           " requests per " +
-                          std::to_string(options_.rate_window_ms) + " ms",
-                      handler_.compat_v0()));
+                          std::to_string(options_.rate_window_ms) + " ms"));
         return;
       case AdmissionDecision::kOverloadedGlobal:
         CountShed("global_inflight");
@@ -488,8 +480,7 @@ class EventLoop {
                       ErrorCode::kOverloaded,
                       "server overloaded: " +
                           std::to_string(options_.max_inflight) +
-                          " requests already in flight",
-                      handler_.compat_v0()));
+                          " requests already in flight"));
         return;
       case AdmissionDecision::kOverloadedClient:
         CountShed("client_inflight");
@@ -498,22 +489,19 @@ class EventLoop {
                       ErrorCode::kOverloaded,
                       "client overloaded: " +
                           std::to_string(options_.max_inflight_per_client) +
-                          " requests already in flight from this peer",
-                      handler_.compat_v0()));
+                          " requests already in flight from this peer"));
         return;
       case AdmissionDecision::kAdmit:
         break;
     }
     uint64_t seq = conn.next_seq++;
-    if (options_.registry != nullptr) {
-      options_.registry->Count("concord_frontend_admitted_total",
-                               "Requests admitted past admission control.", {});
-    }
+    registry_.Count("concord_frontend_admitted_total",
+                    "Requests admitted past admission control.", {});
     UpdateQueueGauge();
     // find() not conns_[...]: the map owns one reference, the task another.
     std::shared_ptr<Conn> shared = conns_.find(conn.fd)->second;
     pool_.Submit([this, shared, seq, line = std::move(line)]() mutable {
-      std::string response = handler_.HandleLine(line);
+      std::string response = service_.HandleLine(line);
       admission_.Complete(shared->peer);
       UpdateQueueGauge();
       {
@@ -637,11 +625,9 @@ class EventLoop {
     conn->closed = true;
     ::close(conn->fd);  // Also drops the epoll registration.
     conns_.erase(conn->fd);
-    if (options_.registry != nullptr) {
-      options_.registry->SetGauge("concord_frontend_open_connections",
-                                  "Currently open serve connections.", {},
-                                  static_cast<double>(conns_.size()));
-    }
+    registry_.SetGauge("concord_frontend_open_connections",
+                       "Currently open serve connections.", {},
+                       static_cast<double>(conns_.size()));
   }
 
   // ---- Completions, drain, idle ---------------------------------------------
@@ -712,26 +698,22 @@ class EventLoop {
   // ---- Metrics --------------------------------------------------------------
 
   void CountShed(const char* reason) {
-    if (options_.registry != nullptr) {
-      options_.registry->Count("concord_frontend_shed_total",
-                               "Requests shed by admission control.",
-                               {{"reason", reason}});
-    }
+    registry_.Count("concord_frontend_shed_total",
+                    "Requests shed by admission control.", {{"reason", reason}});
   }
 
   void UpdateQueueGauge() {
-    if (options_.registry != nullptr) {
-      options_.registry->SetGauge(
-          "concord_frontend_queue_depth",
-          "Admitted requests queued or executing on the worker pool.", {},
-          static_cast<double>(admission_.inflight()));
-    }
+    registry_.SetGauge(
+        "concord_frontend_queue_depth",
+        "Admitted requests queued or executing on the worker pool.", {},
+        static_cast<double>(admission_.inflight()));
   }
 
   // ---- Members (declaration order is initialization order; the pool is last
   // so it is destroyed first, joining workers while everything they reference
   // is still alive) ----
-  LineHandler& handler_;
+  Service& service_;
+  MetricsRegistry& registry_;  // Frontend families land in the `metrics` verb.
   const SocketServerOptions options_;
   const int signal_fd_;
   std::ostream& err_;
@@ -752,10 +734,10 @@ class EventLoop {
 
 }  // namespace
 
-int RunEventLoop(LineHandler& handler, const SocketServerOptions& options,
+int RunEventLoop(Service& service, const SocketServerOptions& options,
                  std::vector<EventLoopListener> listeners, int signal_wake_fd,
                  std::ostream& err) {
-  EventLoop loop(handler, options, signal_wake_fd, err);
+  EventLoop loop(service, options, signal_wake_fd, err);
   return loop.Run(std::move(listeners));
 }
 

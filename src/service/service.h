@@ -30,10 +30,8 @@
 // the closed ErrorCode enum (src/util/error_code.h) — and never terminate the
 // loop. Missing "v" or "v">1 and unknown verbs/fields are themselves structured
 // errors (missing_field / unsupported_version / unknown_verb / unknown_field).
-// ServiceOptions.compat_v0 restores the pre-v1 wire shape for one release:
-// requests need no "v", errors are bare strings, and response keys keep their
-// legacy camelCase spellings. Tests drive the loop in-process through
-// RunService(istream&, ostream&), mirroring RunConcord.
+// Tests drive the loop in-process through RunService(istream&, ostream&),
+// mirroring RunConcord.
 //
 // Robustness: check/coverage requests accept "deadline_ms" (wall-clock budget;
 // expiry yields the deadline_exceeded error code while the server keeps
@@ -56,7 +54,6 @@
 #include "src/learn/learner.h"
 #include "src/pattern/lexer.h"
 #include "src/service/contract_store.h"
-#include "src/service/line_handler.h"
 #include "src/service/metrics.h"
 #include "src/store/store.h"
 #include "src/util/error_code.h"
@@ -68,10 +65,6 @@ namespace concord {
 struct ServiceOptions {
   int parallelism = 0;          // Worker threads for batched checking (0 = all cores).
   size_t cache_capacity = 256;  // Parsed-config LRU entries per contract set.
-  // Speak the legacy (pre-v1) wire protocol: no "v" envelope, bare-string
-  // errors, camelCase response keys. One-release deprecation escape hatch
-  // (--compat-v0).
-  bool compat_v0 = false;
   // Directory of the durable artifact store (DESIGN.md §10). Empty disables
   // persistence; non-empty warm-restarts every persisted contract set at
   // construction and persists learn/update results.
@@ -82,7 +75,7 @@ struct ServiceOptions {
   bool prune_subsumed = false;
 };
 
-class Service : public LineHandler {
+class Service {
  public:
   explicit Service(ServiceOptions options);
 
@@ -97,19 +90,19 @@ class Service : public LineHandler {
 
   // Handles one request line, returning exactly one line of JSON (no newline).
   // Never throws: every failure becomes an {"ok":false,...} response.
-  std::string HandleLine(const std::string& line) override;
+  std::string HandleLine(const std::string& line);
 
   // True once a shutdown request has been answered. Atomic because the socket
   // frontend serves connections from a pool while its accept loop polls this.
-  bool shutdown_requested() const override {
+  bool shutdown_requested() const {
     return shutdown_.load(std::memory_order_acquire);
   }
 
   // Requests shutdown from outside the request stream (signal-driven drain).
-  void RequestShutdown() override { shutdown_.store(true, std::memory_order_release); }
+  void RequestShutdown() { shutdown_.store(true, std::memory_order_release); }
 
   // Human-readable metrics summary for the end of a session.
-  std::string SummaryText() const override { return metrics_.SummaryText(); }
+  std::string SummaryText() const { return metrics_.SummaryText(); }
 
   // Prometheus text exposition: request/cache/work families, per-stage trace
   // counters, and per-contract-set gauges. Body of the `metrics` verb.
@@ -119,10 +112,6 @@ class Service : public LineHandler {
   // Non-const access for the socket frontend, which records its
   // connection/admission families into the embedded registry().
   Metrics& metrics() { return metrics_; }
-
-  // True when the service speaks the legacy (pre-v1) wire shape; the socket
-  // frontend consults this so its own replies (line_too_long) match.
-  bool compat_v0() const override { return options_.compat_v0; }
 
   // The durable store backing this service; nullptr without --store-dir.
   DurableStore* durable_store() { return durable_.get(); }
@@ -155,9 +144,9 @@ class Service : public LineHandler {
   // makes a batch slot byte-identical to the standalone check response.
   JsonValue ResponseFor(const std::string& verb, const JsonValue& request,
                         bool* ok_out = nullptr);
-  // Builds the v1 response envelope (v, ok, id?, error?, body members), with
-  // compat_v0 downgrades applied. Shared by HandleLine's error tail and
-  // ResponseFor so batched and standalone responses serialize identically.
+  // Builds the v1 response envelope (v, ok, id?, error?, body members). Shared
+  // by HandleLine's error tail and ResponseFor so batched and standalone
+  // responses serialize identically.
   JsonValue AssembleResponse(bool ok, bool has_id, JsonValue id,
                              ErrorCode error_code, const std::string& error_message,
                              const std::string& error_detail, JsonValue body);
@@ -175,9 +164,6 @@ class Service : public LineHandler {
   JsonValue HandleReload(const JsonValue& request);
   JsonValue HandleLearn(const JsonValue& request);
   JsonValue HandleUpdate(const JsonValue& request);
-  // Internal shard-router verb: replays the merged unique-observation log
-  // (DESIGN.md §10) and returns the recovered violations as report JSON items.
-  JsonValue HandleCheckUnique(const JsonValue& request);
 
   // Installs every persisted contract set from the durable store at startup,
   // skipping relearning entirely; corrupt objects degrade to "relearn on next

@@ -22,16 +22,14 @@
 #include <iosfwd>
 #include <string>
 
-#include "src/service/line_handler.h"
-#include "src/service/metrics.h"
 #include "src/service/service.h"
 
 namespace concord {
 
 struct SocketServerOptions {
   // Per-connection cap on a single NDJSON request line. A client exceeding it
-  // gets {"v":1,"ok":false,"error":{"code":"line_too_long",...}} (legacy shape
-  // under --compat-v0) and its connection is closed — the server's memory use
+  // gets {"v":1,"ok":false,"error":{"code":"line_too_long",...}} and its
+  // connection is closed — the server's memory use
   // stays bounded no matter what clients send.
   size_t max_line_bytes = 16 * 1024 * 1024;
   int backlog = 8;             // listen(2) backlog.
@@ -74,32 +72,23 @@ struct SocketServerOptions {
   // reads are paused until the buffer drains below half — a slow reader
   // throttles itself, never the loop or other clients.
   size_t write_high_watermark = 4 * 1024 * 1024;
-
-  // When non-null, the frontend records connection/shed/queue-depth metrics
-  // here (concord_frontend_*); the single-process serve wires the service's
-  // own registry so the `metrics` verb exposes them.
-  MetricsRegistry* registry = nullptr;
 };
 
 // Binds `path` (unlinking any stale socket first) and/or the TCP address in
 // options.listen, serves until shutdown, and removes the socket file. An empty
 // `path` serves TCP only (options.listen must then be non-empty). Writes the
 // metrics summary to `summary` (when non-null) on exit — including on
-// signal-driven shutdown. Returns 0 on clean (drained) shutdown, 2 on socket
-// errors.
+// signal-driven shutdown. The frontend's connection/shed/queue-depth families
+// (concord_frontend_*) are recorded into the service's own metrics registry,
+// so the `metrics` verb exposes them. Returns 0 on clean (drained) shutdown, 2
+// on socket errors.
 int RunServiceSocket(Service& service, const std::string& path, std::ostream& err,
                      std::ostream* summary, const SocketServerOptions& options = {});
-
-// The same frontend over the LineHandler abstraction — how the shard router
-// serves its socket. RunServiceSocket forwards here.
-int RunHandlerSocket(LineHandler& handler, const std::string& path,
-                     std::ostream& err, std::ostream* summary,
-                     const SocketServerOptions& options = {});
 
 // Dials an AF_UNIX stream socket as a client, returning the connected fd or -1
 // (with *error describing the failure when non-null). Lives here because raw
 // socket(2) calls are confined to the socket frontend modules (tools/lint.py
-// rule raw-socket); the shard router dials its workers through this.
+// rule raw-socket); the fuzz harness's serve oracle dials through this.
 int DialUnixClient(const std::string& path, std::string* error);
 
 }  // namespace concord

@@ -144,7 +144,7 @@ void WriteRecordFile(const std::string& path, RecordType type,
     std::filesystem::create_directories(p.parent_path(), ec);
   }
   // Same-directory temp so the final rename cannot cross filesystems; the pid
-  // suffix keeps concurrent writers (e.g. two shard workers sharing a parent
+  // suffix keeps concurrent writers (e.g. two serve processes sharing a store
   // directory by mistake) from clobbering each other's temp files.
   std::string tmp = path + ".tmp." + std::to_string(::getpid());
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);

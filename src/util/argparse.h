@@ -2,8 +2,7 @@
 //
 // Supports `--flag value`, `--flag=value`, boolean `--flag`, repeated flags, and
 // positional arguments. Unknown flags are an error so typos fail loudly. Flag
-// names are canonically kebab-case; snake_case spellings (--deadline_ms) are
-// accepted as deprecated aliases for one release.
+// names are kebab-case.
 #ifndef SRC_UTIL_ARGPARSE_H_
 #define SRC_UTIL_ARGPARSE_H_
 

@@ -101,33 +101,20 @@ TEST(ArgParser, UsageMentionsFlags) {
   EXPECT_NE(usage.find("default: 5"), std::string::npos);
 }
 
-TEST(ArgParser, SnakeCaseSpellingIsADeprecatedAlias) {
+TEST(ArgParser, SnakeCaseSpellingIsAnUnknownFlag) {
   ArgParser p;
   p.AddFlag("deadline-ms", "per-request deadline");
-  p.AddBoolFlag("compat-v0", "legacy wire shape");
-  const char* argv[] = {"concord", "--deadline_ms", "250", "--compat_v0"};
-  ASSERT_TRUE(p.Parse(4, argv));
-  EXPECT_EQ(p.GetInt("deadline-ms"), 250);
-  EXPECT_TRUE(p.GetBool("compat-v0"));
+  const char* argv[] = {"concord", "--deadline_ms", "250"};
+  EXPECT_FALSE(p.Parse(3, argv));
+  EXPECT_EQ(p.error(), "unknown flag: --deadline_ms");
 }
 
-TEST(ArgParser, SnakeCaseAliasWorksWithEqualsValue) {
+TEST(ArgParser, SnakeCaseSpellingWithEqualsValueIsAnUnknownFlag) {
   ArgParser p;
   p.AddFlag("score-threshold", "minimum contract score");
   const char* argv[] = {"concord", "--score_threshold=3.5"};
-  ASSERT_TRUE(p.Parse(2, argv));
-  EXPECT_EQ(p.GetDouble("score-threshold"), 3.5);
-}
-
-TEST(ArgParser, UnknownSnakeCaseFlagStillFails) {
-  ArgParser p = MakeParser();
-  const char* argv[] = {"concord", "--no_such_flag", "1"};
-  EXPECT_FALSE(p.Parse(3, argv));
-  EXPECT_NE(p.error().find("unknown flag"), std::string::npos);
-}
-
-TEST(ArgParser, UsageCarriesTheAliasDeprecationNote) {
-  EXPECT_NE(MakeParser().Usage().find("deprecated aliases"), std::string::npos);
+  EXPECT_FALSE(p.Parse(2, argv));
+  EXPECT_EQ(p.error(), "unknown flag: --score_threshold");
 }
 
 }  // namespace

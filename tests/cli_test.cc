@@ -381,7 +381,7 @@ TEST_F(CliTest, CheckProfileCoversTheCheckStages) {
   EXPECT_NE(out.find("check/total"), std::string::npos);
 }
 
-TEST_F(CliTest, JsonReportCarriesErrorEnvelopeAndCompatV0RestoresLegacyShape) {
+TEST_F(CliTest, JsonReportCarriesErrorEnvelope) {
   ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
                  ContractsPath()}),
             0);
@@ -403,31 +403,39 @@ TEST_F(CliTest, JsonReportCarriesErrorEnvelopeAndCompatV0RestoresLegacyShape) {
   EXPECT_EQ(entry_error->GetString("code"), "io_error");
   EXPECT_NE(entry_error->GetString("message")->find("injected fault"),
             std::string::npos);
-
-  // --compat-v0: the legacy {file, reason} spelling, no envelope.
-  ASSERT_TRUE(FaultInjector::Global().Configure("read_file:fail_nth=2"));
-  ASSERT_EQ(Run({"check", "--configs", ConfigsGlob(), "--contracts",
-                 ContractsPath(), "--json-out", json_path, "--compat-v0"}),
-            3);
-  FaultInjector::Global().Reset();
-  auto legacy = JsonValue::Parse(ReadFile(json_path));
-  ASSERT_TRUE(legacy.has_value());
-  const JsonValue* legacy_degraded = legacy->Find("degraded");
-  ASSERT_NE(legacy_degraded, nullptr);
-  ASSERT_EQ(legacy_degraded->items().size(), 1u);
-  EXPECT_TRUE(legacy_degraded->items()[0].GetString("reason").has_value());
-  EXPECT_EQ(legacy_degraded->items()[0].Find("error"), nullptr);
 }
 
-TEST_F(CliTest, SnakeCaseFlagAliasesKeepWorking) {
-  // --deadline_ms is the deprecated spelling of --deadline-ms; a generous
-  // budget means the run still succeeds end to end.
+TEST_F(CliTest, FlagsAreKebabCaseOnly) {
+  // A generous --deadline-ms budget means the run still succeeds end to end.
   ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3",
-                 "--score_threshold", "3.0", "--out", ContractsPath()}),
+                 "--score-threshold", "3.0", "--out", ContractsPath()}),
             0);
   EXPECT_EQ(Run({"check", "--configs", ConfigsGlob(), "--contracts",
-                 ContractsPath(), "--deadline_ms", "60000"}),
+                 ContractsPath(), "--deadline-ms", "60000"}),
             0);
+  std::string err;
+  EXPECT_EQ(Run({"check", "--configs", ConfigsGlob(), "--contracts",
+                 ContractsPath(), "--deadline_ms", "60000"},
+                nullptr, &err),
+            2);
+  EXPECT_NE(err.find("unknown flag: --deadline_ms"), std::string::npos) << err;
+}
+
+TEST_F(CliTest, RemovedServeAndCheckFlagsAreUnknown) {
+  struct Case {
+    std::vector<std::string> args;
+    std::string flag;
+  };
+  const std::vector<Case> cases = {
+      {{"serve", "--shards", "2"}, "--shards"},
+      {{"serve", "--compat-v0"}, "--compat-v0"},
+      {{"check", "--configs", ConfigsGlob(), "--compat-v0"}, "--compat-v0"},
+  };
+  for (const Case& c : cases) {
+    std::string err;
+    EXPECT_EQ(Run(c.args, nullptr, &err), 2) << c.args[0] << " " << c.flag;
+    EXPECT_NE(err.find("unknown flag: " + c.flag), std::string::npos) << err;
+  }
 }
 
 }  // namespace

@@ -835,13 +835,19 @@ TEST_F(ServiceTest, LearnedSetCannotBeReloadedFromDisk) {
 
 TEST_F(ServiceTest, MissingVersionIsAStructuredError) {
   auto service = MakeService();
-  JsonValue response = Respond(*service, R"({"verb":"stats"})");
-  EXPECT_EQ(response.GetBool("ok"), false);
-  EXPECT_EQ(response.GetInt("v"), 1);  // Error responses carry the envelope too.
-  const JsonValue* error = response.Find("error");
-  ASSERT_NE(error, nullptr);
-  EXPECT_EQ(error->GetString("code"), "missing_field");
-  EXPECT_EQ(error->GetString("detail"), "v");
+  // An otherwise valid check is refused too: there is no unversioned path.
+  auto check = JsonValue::Parse(CheckRequest("check", "edge", {ConfigPath(1)}));
+  ASSERT_TRUE(check.has_value());
+  check->members().erase(check->members().begin());  // CheckRequest leads with "v".
+  for (const std::string& line : {std::string(R"({"verb":"stats"})"), check->Serialize(0)}) {
+    JsonValue response = Respond(*service, line);
+    EXPECT_EQ(response.GetBool("ok"), false) << line;
+    EXPECT_EQ(response.GetInt("v"), 1);  // Error responses carry the envelope too.
+    const JsonValue* error = response.Find("error");
+    ASSERT_NE(error, nullptr);
+    EXPECT_EQ(error->GetString("code"), "missing_field");
+    EXPECT_EQ(error->GetString("detail"), "v");
+  }
 }
 
 TEST_F(ServiceTest, NewerVersionIsRejectedAsUnsupported) {
@@ -860,15 +866,18 @@ TEST_F(ServiceTest, NewerVersionIsRejectedAsUnsupported) {
 
 TEST_F(ServiceTest, UnknownRequestFieldFailsLoudly) {
   auto service = MakeService();
-  // A typo'd member on a known verb is caught instead of silently ignored.
-  JsonValue response = Respond(
-      *service,
-      R"({"v":1,"verb":"check","contracts":"edge","configs":[{"name":"a","text":"b"}],"metdata":[]})");
-  EXPECT_EQ(response.GetBool("ok"), false);
-  const JsonValue* error = response.Find("error");
-  ASSERT_NE(error, nullptr);
-  EXPECT_EQ(error->GetString("code"), "unknown_field");
-  EXPECT_EQ(error->GetString("detail"), "metdata");
+  // A typo'd member on a known verb is caught instead of silently ignored, and
+  // so is the removed shard-mode flag.
+  for (const std::string field : {"metdata", "shard"}) {
+    JsonValue response = Respond(
+        *service, R"({"v":1,"verb":"check","contracts":"edge","configs":[{"name":"a","text":"b"}],")" +
+                      field + R"(":true})");
+    EXPECT_EQ(response.GetBool("ok"), false) << field;
+    const JsonValue* error = response.Find("error");
+    ASSERT_NE(error, nullptr);
+    EXPECT_EQ(error->GetString("code"), "unknown_field");
+    EXPECT_EQ(error->GetString("detail"), field);
+  }
 }
 
 TEST_F(ServiceTest, MetricsVerbReturnsPrometheusExposition) {
@@ -904,91 +913,17 @@ TEST_F(ServiceTest, MetricsVerbReturnsPrometheusExposition) {
             std::string::npos);
 }
 
-TEST_F(ServiceTest, CompatV0SpeaksTheLegacyWireShape) {
-  BreakDev3();
-  ServiceOptions options;
-  options.compat_v0 = true;
-  Service service(options);
-  std::string error;
-  ASSERT_TRUE(service.LoadContracts("edge", ContractsPath(), &error)) << error;
-
-  // Requests need no "v"; responses carry no "v" and keep camelCase keys.
-  std::string base = CheckRequest("check", "edge", ConfigPaths());
-  auto request = JsonValue::Parse(base);
-  ASSERT_TRUE(request.has_value());
-  JsonValue response = Respond(service, request->Serialize(0));
-  EXPECT_EQ(response.GetBool("ok"), true);
-  EXPECT_EQ(response.Find("v"), nullptr);
-  EXPECT_EQ(response.GetInt("configsChecked"), 6);
-  EXPECT_EQ(response.GetInt("cacheMisses"), 6);
-  EXPECT_EQ(response.Find("configs_checked"), nullptr);
-
-  // Unknown fields pass through silently, as they always did pre-v1.
-  request->Set("metdata", JsonValue::Array());
-  EXPECT_EQ(Respond(service, request->Serialize(0)).GetBool("ok"), true);
-
-  // Errors are bare strings; deadline expiry keeps its legacy errorCode member.
-  JsonValue bad = Respond(service, R"({"verb":"frobnicate"})");
-  EXPECT_EQ(bad.GetBool("ok"), false);
-  EXPECT_TRUE(bad.GetString("error").has_value());
-  EXPECT_EQ(bad.Find("errorCode"), nullptr);
-  auto expiring = JsonValue::Parse(base);
-  expiring->Set("deadline_ms", JsonValue::Number(int64_t{1}));
-  ASSERT_TRUE(FaultInjector::Global().Configure("check:delay_ms=50"));
-  JsonValue expired = Respond(service, expiring->Serialize(0));
-  FaultInjector::Global().Reset();
-  EXPECT_EQ(expired.GetString("error"), "deadline_exceeded");
-  EXPECT_EQ(expired.GetString("errorCode"), "deadline_exceeded");
-
-  // Degraded entries keep the legacy {file, reason} shape. A fresh service is
-  // needed so the configs actually parse (the first check above cached them).
-  Service fresh(options);
-  ASSERT_TRUE(fresh.LoadContracts("edge", ContractsPath(), &error)) << error;
-  ASSERT_TRUE(FaultInjector::Global().Configure("parse:fail_nth=1"));
-  JsonValue degraded_response = Respond(fresh, base);
-  FaultInjector::Global().Reset();
-  const JsonValue* degraded = degraded_response.Find("degraded");
-  ASSERT_NE(degraded, nullptr);
-  EXPECT_TRUE(degraded->items()[0].GetString("reason").has_value());
-  EXPECT_EQ(degraded->items()[0].Find("error"), nullptr);
-
-  // Stats keep their legacy spellings.
-  JsonValue stats = Respond(service, R"({"verb":"stats"})");
-  ASSERT_NE(stats.Find("contractSets"), nullptr);
-  EXPECT_NE(stats.Find("stats")->Find("work")->GetInt("configsChecked"),
-            std::nullopt);
-}
-
-TEST_F(ServiceTest, CompatV0SocketKeepsLegacyLineTooLongShape) {
-  ServiceOptions service_options;
-  service_options.compat_v0 = true;
-  Service service(service_options);
-  std::string error;
-  ASSERT_TRUE(service.LoadContracts("edge", ContractsPath(), &error)) << error;
-
-  std::string socket_path = (dir_ / "compat.sock").string();
-  SocketServerOptions options;
-  options.max_line_bytes = 128;
-  std::ostringstream err;
-  std::thread server(
-      [&] { RunServiceSocket(service, socket_path, err, nullptr, options); });
-
-  int fd = ConnectTo(socket_path);
-  ASSERT_GE(fd, 0);
-  ASSERT_TRUE(WriteStr(fd, std::string(4096, 'x')));
-  std::string received = ReadUntilEof(fd);
-  ::close(fd);
-  EXPECT_NE(received.find("\"errorCode\":\"line_too_long\""), std::string::npos);
-  EXPECT_EQ(received.find("\"v\":1"), std::string::npos);
-
-  int last = ConnectTo(socket_path);
-  ASSERT_GE(last, 0);
-  ASSERT_TRUE(WriteStr(last, "{\"verb\":\"shutdown\"}\n"));
-  auto response = JsonValue::Parse(ReadLine(last), &error);
-  ASSERT_TRUE(response.has_value()) << error;
-  EXPECT_EQ(response->GetBool("ok"), true);
-  ::close(last);
-  server.join();
+TEST_F(ServiceTest, UniqueReplayVerbIsUnknown) {
+  // Unique contracts are judged only by the checker's own global pass; there
+  // is no verb that replays observations from outside it.
+  auto service = MakeService();
+  JsonValue response =
+      Respond(*service, R"({"v":1,"verb":"check_unique","contracts":"edge","log":[]})");
+  EXPECT_EQ(response.GetBool("ok"), false);
+  const JsonValue* error = response.Find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->GetString("code"), "unknown_verb");
+  EXPECT_EQ(error->GetString("detail"), "check_unique");
 }
 
 // ---- check_batch (DESIGN.md §12) ----

@@ -7,8 +7,7 @@
 #                                            CONCORD_SMOKE_ASAN=1, the sanitized
 #                                            test pass (tools/run_tests_asan.sh)
 #        tools/run_benches.sh --store        durable-store acceptance: cold vs warm
-#                                            restart and 1/2/4-shard throughput,
-#                                            written to BENCH_STORE.json
+#                                            restart, written to BENCH_STORE.json
 #        tools/run_benches.sh --overload     frontend overload soak: greedy TCP
 #                                            clients vs one well-behaved Unix
 #                                            client; shed rate and p99s written
@@ -87,8 +86,8 @@ if [ "${1:-}" = "--store" ]; then
     echo "error: $bench not built (run: cmake --build build -j)" >&2
     exit 2
   fi
-  # Exits non-zero unless every warm-restart and sharded response was
-  # byte-identical to the cold single-process run.
+  # Exits non-zero unless the warm-restart response was byte-identical to
+  # the cold run.
   "$bench" || exit 1
   exit 0
 fi
@@ -162,8 +161,8 @@ for b in build/bench/*; do
       [ -f BENCH_INCREMENTAL.json ] && cp -f BENCH_INCREMENTAL.json "$out/"
       ;;
     bench_store)
-      # Writes BENCH_STORE.json; non-zero means a warm-restart or sharded
-      # response diverged from the cold single-process run.
+      # Writes BENCH_STORE.json; non-zero means the warm-restart response
+      # diverged from the cold run.
       if ! "$b" > "$out/$name.txt" 2>&1; then
         echo "bench_store acceptance FAILED (see $out/$name.txt)" >&2
       fi
