@@ -151,30 +151,18 @@ class Checker {
   // grouped by untyped pattern, contract-pattern slot table) reused by every
   // Check call. The table must be the one `dataset`'s patterns live in
   // (contracts loaded from a file must have been interned into it).
-  // `parallelism`/`pool` become the defaults for the legacy overloads below;
-  // options-taking calls pass their own.
-  Checker(const ContractSet* set, const PatternTable* table, int parallelism = 1,
-          ThreadPool* pool = nullptr);
+  Checker(const ContractSet* set, const PatternTable* table);
 
-  // Checks every contract and measures coverage.
+  // Checks every contract and measures coverage: builds the dataset's indexes
+  // (a "check/index" span) and runs the core below with default CheckOptions.
   CheckResult Check(const Dataset& dataset, bool measure_coverage = true) const;
 
-  // Same, over externally owned configurations (e.g. the service's parsed-config
-  // cache). `metadata` is logically appended to every configuration (§3.7).
-  CheckResult Check(const std::vector<const ParsedConfig*>& configs,
-                    const std::vector<ParsedLine>& metadata,
-                    bool measure_coverage = true) const;
-
-  // Same, over pre-built per-config indexes — the artifact pipeline's Index
-  // stage (ArtifactStore, or the service's index cache) — skipping the
-  // index-building pass entirely. The indexes must outlive the call.
-  CheckResult Check(const std::vector<const ConfigIndex*>& indexes,
-                    bool measure_coverage = true) const;
-
-  // The batch-first core (DESIGN.md §12): a contract-major scan that walks the
-  // contract set once, evaluating each contract against all N configs from a
-  // postings table built by a single pass over the batch's indexes, with scratch
-  // carved from bump arenas. Every other Check overload is a thin wrapper.
+  // The batch-first core (DESIGN.md §12): a contract-major scan over pre-built
+  // per-config indexes — the artifact pipeline's Index stage (ArtifactStore, or
+  // the service's index cache) — that walks the contract set once, evaluating
+  // each contract against all N configs from a postings table built by a single
+  // pass over the batch's indexes, with scratch carved from bump arenas. The
+  // indexes must outlive the call.
   CheckResult Check(const std::vector<const ConfigIndex*>& indexes,
                     const CheckOptions& options) const;
 
@@ -213,8 +201,6 @@ class Checker {
 
   const ContractSet* set_;
   const PatternTable* table_;
-  int parallelism_;
-  ThreadPool* pool_;
 
   // ---- Check plan, compiled once from the contract set. ----
   FlatMap<std::string, std::vector<TypeRule>> type_rules_;

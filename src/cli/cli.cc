@@ -22,7 +22,6 @@
 #include "src/report/report.h"
 #include "src/service/service.h"
 #include "src/service/socket_server.h"
-#include "src/store/record_io.h"
 #include "src/store/store.h"
 #include "src/util/argparse.h"
 #include "src/util/cancellation.h"
@@ -110,17 +109,16 @@ Deadline DeadlineFromFlags(const ArgParser& args) {
 
 struct LoadedInputs {
   Lexer lexer;
+  // Content key of the --lexer definitions (0 = built-in lexer).
+  uint64_t lexer_key = 0;
   Dataset dataset;
   // Files that failed to read or parse; the run continues without them and the
   // CLI signals the partial result with exit code 3.
   std::vector<SkippedFile> skipped;
-  // Per-config content keys and the chained metadata key, for --incremental
-  // baseline comparison. Skipped files deliberately have no key, so a file that
-  // parsed last run but fails now reads as "removed" and forces a relearn.
-  std::map<std::string, uint64_t> config_keys;
-  uint64_t metadata_key = kFnv1a64OffsetBasis;
   // Raw texts, retained only under --store-dir: the durable store persists
-  // Parse-stage inputs (texts), not the pointer-laden parsed artifacts.
+  // Parse-stage inputs (texts), not the pointer-laden parsed artifacts, and
+  // keys a learn's identity by them. Skipped files deliberately have no text,
+  // so a file that parsed last run but fails now reads as "removed".
   std::map<std::string, std::string> config_texts;
   std::vector<std::string> metadata_texts;
 };
@@ -138,11 +136,13 @@ bool LoadInputs(const ArgParser& args, bool embed_context, bool constants,
     return false;
   }
   if (args.Has("lexer")) {
+    std::string definitions = ReadFile(args.Get("lexer"));
     std::string error;
-    if (!inputs->lexer.LoadDefinitions(ReadFile(args.Get("lexer")), &error)) {
+    if (!inputs->lexer.LoadDefinitions(definitions, &error)) {
       err << "error: bad lexer definition: " << error << "\n";
       return false;
     }
+    inputs->lexer_key = Fnv1a64(definitions);
   }
   ParseOptions options;
   options.embed_context = embed_context;
@@ -173,7 +173,6 @@ bool LoadInputs(const ArgParser& args, bool embed_context, bool constants,
     try {
       TraceSpan span("learn", "parse");
       inputs->dataset.configs.push_back(parser.Parse(file, text));
-      inputs->config_keys[file] = ContentKey(file, text);
       if (args.Has("store-dir")) {
         inputs->config_texts[file] = std::move(text);
       }
@@ -202,7 +201,6 @@ bool LoadInputs(const ArgParser& args, bool embed_context, bool constants,
         for (ParsedLine& line : parser.ParseMetadata(text)) {
           inputs->dataset.metadata.push_back(std::move(line));
         }
-        inputs->metadata_key = Fnv1a64(text, inputs->metadata_key);
         if (args.Has("store-dir")) {
           inputs->metadata_texts.push_back(std::move(text));
         }
@@ -214,130 +212,60 @@ bool LoadInputs(const ArgParser& args, bool embed_context, bool constants,
   return true;
 }
 
-// State file behind `learn --incremental`: a manifest of per-config content keys
-// plus the contracts learned from them. Cross-process incrementality is
-// manifest-grained — when no input changed, the learn is skipped outright and the
-// baseline contracts are reused; when something changed, the full relearn runs
-// and the delta is reported. (`concord serve`'s learn/update verbs are the
-// artifact-grained engine that re-mines only the changed configs.)
-struct BaselineState {
-  std::map<std::string, uint64_t> config_keys;
-  uint64_t metadata_key = kFnv1a64OffsetBasis;
-  std::string options_fingerprint;
-  std::string contracts_json;
-  int64_t contract_count = 0;
-};
-
-// Learned contracts depend on thresholds and toggles as much as on inputs, so
-// the baseline records them; any mismatch forces a relearn.
-std::string LearnOptionsFingerprint(const LearnOptions& o, bool embed) {
-  std::string fp = "support=" + std::to_string(o.support);
-  fp += ";confidence=" + std::to_string(o.confidence);
-  fp += ";score=" + std::to_string(o.score_threshold);
-  fp += ";constants=" + std::to_string(o.constants);
-  fp += ";minimize=" + std::to_string(o.minimize);
-  fp += ";embed=" + std::to_string(embed);
-  fp += ";cats=";
-  for (bool b : {o.learn_present, o.learn_ordering, o.learn_type, o.learn_sequence,
-                 o.learn_unique, o.learn_relational}) {
-    fp += b ? '1' : '0';
-  }
-  return fp;
-}
-
-// Loads a baseline state file; any problem (missing, unparseable, wrong shape)
-// degrades to "no baseline", i.e. a full learn. Keys are decimal strings: JSON
-// numbers round-trip through double and would corrupt 64-bit hashes.
-std::optional<BaselineState> LoadBaseline(const std::string& path) {
+// Loads what `concord check` / `concord analyze` run on: the contract set (the
+// --dataset's persisted set under --store-dir, else the --contracts file) and,
+// when `with_configs`, the configs parsed with the parse options the set
+// records, so their postings match what learning saw; the set is interned into
+// their pattern table. A damaged store surfaces as store_corrupt, never a crash
+// or a silent pass. nullopt (after printing the error) means exit 2.
+std::optional<ContractSet> LoadContractSet(const ArgParser& args, bool with_configs,
+                                           const Deadline& deadline, LoadedInputs* inputs,
+                                           std::ostream& err) {
   std::string text;
   try {
-    text = ReadFile(path);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  auto json = JsonValue::Parse(text);
-  if (!json || !json->is_object()) {
-    return std::nullopt;
-  }
-  const JsonValue* configs = json->Find("configs");
-  auto metadata_key = json->GetString("metadataKey");
-  auto options = json->GetString("options");
-  auto contracts = json->GetString("contracts");
-  if (configs == nullptr || !configs->is_object() || !metadata_key || !options ||
-      !contracts) {
-    return std::nullopt;
-  }
-  BaselineState state;
-  try {
-    state.metadata_key = std::stoull(*metadata_key);
-    for (const auto& [name, key] : configs->members()) {
-      if (!key.is_string()) {
+    if (!args.Has("store-dir")) {
+      text = ReadFile(args.Get("contracts"));
+    } else {
+      DurableStore store(args.Get("store-dir"));
+      auto info = store.GetDataset(args.Get("dataset"));
+      if (!info || info->contracts_key == 0) {
+        err << "error: store has no contracts for dataset '" << args.Get("dataset")
+            << "' in " << args.Get("store-dir") << "\n";
         return std::nullopt;
       }
-      state.config_keys[name] = std::stoull(key.AsString());
-    }
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  state.options_fingerprint = *options;
-  state.contracts_json = *contracts;
-  state.contract_count = json->GetInt("contractCount").value_or(0);
-  return state;
-}
-
-void SaveBaseline(const std::string& path, const LoadedInputs& inputs,
-                  const std::string& fingerprint, const std::string& contracts_json,
-                  size_t contract_count) {
-  JsonValue state = JsonValue::Object();
-  state.Set("version", JsonValue::Number(int64_t{1}));
-  state.Set("options", JsonValue::String(fingerprint));
-  state.Set("metadataKey", JsonValue::String(std::to_string(inputs.metadata_key)));
-  JsonValue configs = JsonValue::Object();
-  for (const auto& [name, key] : inputs.config_keys) {
-    configs.Set(name, JsonValue::String(std::to_string(key)));
-  }
-  state.Set("configs", std::move(configs));
-  state.Set("contractCount", JsonValue::Number(static_cast<int64_t>(contract_count)));
-  state.Set("contracts", JsonValue::String(contracts_json));
-  WriteFile(path, state.Serialize(2));
-}
-
-// Persists a CLI learn into the durable store (DESIGN.md §10), mirroring the
-// serve-side persist: Parse-stage inputs (raw texts) as content-addressed
-// blobs, the learned contract set as one object, then an atomic manifest swap.
-// Best-effort — a store failure degrades to a warning; the written contract
-// file stands and `concord serve --store-dir` simply relearns.
-void PersistLearnToStore(const std::string& store_dir, const std::string& dataset_name,
-                         const LoadedInputs& inputs, const LearnOptions& options,
-                         const std::string& serialized, size_t contract_count,
-                         bool quiet, std::ostream& out, std::ostream& err) {
-  try {
-    DurableStore store(store_dir);
-    PersistedDatasetInfo info;
-    for (const auto& [name, text] : inputs.config_texts) {
-      uint64_t key = inputs.config_keys.at(name);
-      store.PutObject(RecordType::kBlob, key, text, "config");
-      info.config_keys[name] = key;
-    }
-    for (const std::string& text : inputs.metadata_texts) {
-      uint64_t key = ContentKey("@meta", text);
-      store.PutObject(RecordType::kBlob, key, text, "metadata");
-      info.metadata_keys.push_back(key);
-    }
-    uint64_t contracts_key = Fnv1a64(serialized);
-    store.PutObject(RecordType::kContracts, contracts_key, serialized, "contracts");
-    info.contracts_key = contracts_key;
-    info.contract_count = static_cast<int64_t>(contract_count);
-    info.options = options;
-    store.PutDataset(dataset_name, info);
-    if (!quiet) {
-      out << "store: persisted dataset '" << dataset_name << "' ("
-          << store.object_count() << " objects, " << store.total_bytes()
-          << " bytes)\n";
+      bool corrupt = false;
+      auto payload = store.GetContracts(*info, &corrupt);
+      if (!payload) {
+        err << "error: store_corrupt: persisted contract set for dataset '"
+            << args.Get("dataset") << "' is " << (corrupt ? "corrupt" : "missing")
+            << "; relearn with `concord learn --store-dir`\n";
+        return std::nullopt;
+      }
+      text = std::move(*payload);
     }
   } catch (const std::exception& e) {
-    err << "warning: store persist failed: " << e.what() << "\n";
+    err << "error: " << e.what() << "\n";
+    return std::nullopt;
   }
+  std::string error;
+  if (with_configs) {
+    PatternTable scratch;
+    auto preview = ParseContracts(text, &scratch, &error);
+    if (!preview) {
+      err << "error: cannot parse contracts: " << error << "\n";
+      return std::nullopt;
+    }
+    bool embed = preview->embed_context && !args.GetBool("no-embedding");
+    bool constants = preview->constants_mode || args.GetBool("constants");
+    if (!LoadInputs(args, embed, constants, deadline, inputs, err)) {
+      return std::nullopt;
+    }
+  }
+  auto set = ParseContracts(text, &inputs->dataset.patterns, &error);
+  if (!set) {
+    err << "error: cannot parse contracts: " << error << "\n";
+  }
+  return set;
 }
 
 int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream& err) {
@@ -345,8 +273,9 @@ int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream&
   AddCommonFlags(&args);
   args.AddFlag("out", "output contract file", "contracts.json");
   args.AddFlag("store-dir",
-               "durable artifact store directory: persist the learned dataset for "
-               "warm serve restarts (DESIGN.md §10)");
+               "durable artifact store directory: reuse the dataset's persisted "
+               "contracts when its inputs are unchanged, else persist this learn "
+               "(DESIGN.md §10)");
   args.AddFlag("dataset", "dataset name in the store (with --store-dir)", "default");
   args.AddFlag("support", "minimum supporting configurations S", "5");
   args.AddFlag("confidence", "required holding fraction C", "0.96");
@@ -354,11 +283,6 @@ int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream&
   args.AddFlag("parallelism", "worker threads (0 = all cores)", "1");
   args.AddFlag("disable", "disable a category: present|ordering|type|sequence|unique|relational");
   args.AddBoolFlag("no-minimize", "skip relational contract minimization (§3.6)");
-  args.AddBoolFlag("incremental",
-                   "compare inputs against --baseline and skip relearning when unchanged");
-  args.AddFlag("baseline",
-               "state file for --incremental (read when present, rewritten after learning)",
-               "concord.state.json");
   if (!args.Parse(argc, argv, 2)) {
     err << "error: " << args.error() << "\n" << args.Usage();
     return 2;
@@ -398,30 +322,38 @@ int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream&
     return 2;
   }
 
-  bool incremental = args.GetBool("incremental");
-  std::string fingerprint = LearnOptionsFingerprint(options, embed);
-  std::optional<BaselineState> baseline;
-  if (incremental) {
-    baseline = LoadBaseline(args.Get("baseline"));
-    if (baseline && baseline->options_fingerprint == fingerprint &&
-        baseline->metadata_key == inputs.metadata_key &&
-        baseline->config_keys == inputs.config_keys) {
-      // Nothing changed since the baseline: the relearn would reproduce the
-      // baseline contracts bit for bit, so reuse them without mining.
-      WriteFile(args.Get("out"), baseline->contracts_json);
-      if (args.Has("store-dir")) {
-        PersistLearnToStore(args.Get("store-dir"), args.Get("dataset"), inputs,
-                            options, baseline->contracts_json,
-                            static_cast<size_t>(baseline->contract_count),
-                            args.GetBool("quiet"), out, err);
+  const bool quiet = args.GetBool("quiet");
+  const std::string out_path = args.Get("out");
+  const std::string name = args.Get("dataset");
+  // Under --store-dir, `identity` is the manifest entry this learn would
+  // persist. When the dataset's entry already matches it and its contracts read
+  // back intact, a relearn would reproduce those bytes, so they are reused; any
+  // miss (changed inputs or settings, old-format entry, damaged object) learns.
+  std::optional<DurableStore> store;
+  LearnInputTexts texts;
+  PersistedDatasetInfo identity;
+  std::optional<PersistedDatasetInfo> previous;
+  const char* unreadable = nullptr;
+  if (args.Has("store-dir")) {
+    store.emplace(args.Get("store-dir"));
+    texts.configs.insert(inputs.config_texts.begin(), inputs.config_texts.end());
+    texts.metadata.assign(inputs.metadata_texts.begin(), inputs.metadata_texts.end());
+    identity = LearnIdentity(texts, options, inputs.lexer_key, embed);
+    previous = store->GetDataset(name);
+    if (previous && SameLearnInputs(*previous, identity)) {
+      bool corrupt = false;
+      if (auto contracts = store->GetContracts(*previous, &corrupt)) {
+        WriteFile(out_path, *contracts);
+        if (!quiet) {
+          out << "store: " << identity.config_keys.size()
+              << " config(s) unchanged since dataset '" << name
+              << "' was persisted; reused " << previous->contract_count
+              << " contract(s)\n"
+              << "wrote " << out_path << "\n";
+        }
+        return inputs.skipped.empty() ? 0 : 3;
       }
-      if (!args.GetBool("quiet")) {
-        out << "incremental: " << inputs.dataset.configs.size()
-            << " config(s) unchanged since baseline; reused " << baseline->contract_count
-            << " contract(s)\n"
-            << "wrote " << args.Get("out") << "\n";
-      }
-      return inputs.skipped.empty() ? 0 : 3;
+      unreadable = corrupt ? "corrupt" : "missing";
     }
   }
 
@@ -430,19 +362,23 @@ int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream&
   LearnResult result = learner.Learn(inputs.dataset);
   result.set.embed_context = embed;
   std::string serialized = SerializeContracts(result.set, inputs.dataset.patterns);
-  WriteFile(args.Get("out"), serialized);
-  if (args.Has("store-dir")) {
-    PersistLearnToStore(args.Get("store-dir"), args.Get("dataset"), inputs, options,
-                        serialized, result.set.contracts.size(),
-                        args.GetBool("quiet"), out, err);
+  WriteFile(out_path, serialized);
+  if (store) {
+    // Best-effort: a store failure degrades to a warning; the written contract
+    // file stands and the next learn or `concord serve --store-dir` relearns.
+    try {
+      PersistLearn(*store, name, texts, identity, serialized,
+                   static_cast<int64_t>(result.set.contracts.size()));
+      if (!quiet) {
+        out << "store: persisted dataset '" << name << "' (" << store->object_count()
+            << " objects, " << store->total_bytes() << " bytes)\n";
+      }
+    } catch (const std::exception& e) {
+      err << "warning: store persist failed: " << e.what() << "\n";
+    }
   }
 
-  if (incremental) {
-    SaveBaseline(args.Get("baseline"), inputs, fingerprint, serialized,
-                 result.set.contracts.size());
-  }
-
-  if (!args.GetBool("quiet")) {
+  if (!quiet) {
     out << "configs: " << inputs.dataset.configs.size() << "\n"
         << "lines: " << inputs.dataset.TotalLines() << "\n"
         << "patterns: " << inputs.dataset.patterns.size() << "\n"
@@ -457,32 +393,26 @@ int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream&
       out << "minimization: " << result.relational_before_minimize << " -> "
           << result.relational_after_minimize << " relational contracts\n";
     }
-    if (incremental) {
-      if (baseline) {
-        size_t added = 0, removed = 0, modified = 0;
-        for (const auto& [name, key] : inputs.config_keys) {
-          auto it = baseline->config_keys.find(name);
-          if (it == baseline->config_keys.end()) {
-            ++added;
-          } else if (it->second != key) {
-            ++modified;
-          }
+    if (previous) {
+      size_t added = 0, modified = 0;
+      for (const auto& [config, key] : identity.config_keys) {
+        auto it = previous->config_keys.find(config);
+        if (it == previous->config_keys.end()) {
+          ++added;
+        } else if (it->second != key) {
+          ++modified;
         }
-        for (const auto& [name, key] : baseline->config_keys) {
-          if (inputs.config_keys.count(name) == 0) {
-            ++removed;
-          }
-        }
-        out << "incremental: relearned after delta vs baseline (" << added
-            << " added, " << removed << " removed, " << modified << " modified"
-            << (baseline->metadata_key != inputs.metadata_key ? ", metadata changed"
-                                                              : "")
-            << (baseline->options_fingerprint != fingerprint ? ", options changed" : "")
-            << ")\n";
-      } else {
-        out << "incremental: no usable baseline; full learn, baseline written\n";
       }
-      out << "baseline: " << args.Get("baseline") << "\n";
+      size_t removed = previous->config_keys.size() + added - identity.config_keys.size();
+      out << "store: relearned after delta vs dataset '" << name << "' (" << added
+          << " added, " << removed << " removed, " << modified << " modified"
+          << (previous->metadata_keys != identity.metadata_keys ? ", metadata changed"
+                                                                : "")
+          << (SameLearnSettings(*previous, identity) ? "" : ", options changed")
+          << (unreadable != nullptr ? std::string(", contracts ") + unreadable : "")
+          << ")\n";
+    } else if (store) {
+      out << "store: no previous learn of dataset '" << name << "'; full learn\n";
     }
     if (!inputs.skipped.empty()) {
       out << "degraded: " << inputs.skipped.size() << " input file(s) skipped\n";
@@ -491,7 +421,7 @@ int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream&
       }
     }
     out << "learn time: " << watch.ElapsedSeconds() << "s\n"
-        << "wrote " << args.Get("out") << "\n";
+        << "wrote " << out_path << "\n";
   }
   return inputs.skipped.empty() ? 0 : 3;
 }
@@ -520,60 +450,11 @@ int RunCheck(int argc, const char* const* argv, std::ostream& out, std::ostream&
   }
   ProfileSession profile(args.GetBool("profile"), args.Get("trace-out"), &out, &err);
 
-  std::string contracts_text;
-  if (args.Has("store-dir")) {
-    // The persisted learn output stands in for the contract file; a damaged
-    // store surfaces as store_corrupt, never a crash or a silent pass.
-    try {
-      DurableStore store(args.Get("store-dir"));
-      auto info = store.GetDataset(args.Get("dataset"));
-      if (!info || info->contracts_key == 0) {
-        err << "error: store has no contracts for dataset '" << args.Get("dataset")
-            << "' in " << args.Get("store-dir") << "\n";
-        return 2;
-      }
-      bool corrupt = false;
-      auto payload = store.GetObject(RecordType::kContracts, info->contracts_key,
-                                     "contracts", &corrupt);
-      if (!payload) {
-        err << "error: store_corrupt: persisted contract set for dataset '"
-            << args.Get("dataset") << "' is "
-            << (corrupt ? "corrupt" : "missing")
-            << "; relearn with `concord learn --store-dir`\n";
-        return 2;
-      }
-      contracts_text = std::move(*payload);
-    } catch (const std::exception& e) {
-      err << "error: " << e.what() << "\n";
-      return 2;
-    }
-  } else {
-    try {
-      contracts_text = ReadFile(args.Get("contracts"));
-    } catch (const std::exception& e) {
-      err << "error: " << e.what() << "\n";
-      return 2;
-    }
-  }
-
   LoadedInputs inputs;
-  // Parse contracts first so the set's recorded parse options drive config parsing.
-  PatternTable scratch;
-  std::string error;
-  auto preview = ParseContracts(contracts_text, &scratch, &error);
-  if (!preview) {
-    err << "error: cannot parse contracts: " << error << "\n";
-    return 2;
-  }
-  bool embed = preview->embed_context && !args.GetBool("no-embedding");
-  bool constants = preview->constants_mode || args.GetBool("constants");
   Deadline deadline = DeadlineFromFlags(args);
-  if (!LoadInputs(args, embed, constants, deadline, &inputs, err)) {
-    return 2;
-  }
-  auto set = ParseContracts(contracts_text, &inputs.dataset.patterns, &error);
+  std::optional<ContractSet> set =
+      LoadContractSet(args, /*with_configs=*/true, deadline, &inputs, err);
   if (!set) {
-    err << "error: cannot parse contracts: " << error << "\n";
     return 2;
   }
   if (args.Has("suppress")) {
@@ -586,7 +467,7 @@ int RunCheck(int argc, const char* const* argv, std::ostream& out, std::ostream&
 
   Stopwatch watch;
   int parallelism = static_cast<int>(args.GetInt("parallelism").value_or(1));
-  Checker checker(&*set, &inputs.dataset.patterns, parallelism);
+  Checker checker(&*set, &inputs.dataset.patterns);
   std::vector<ConfigIndex> built;
   {
     TraceSpan span("check", "index");
@@ -680,67 +561,14 @@ int RunAnalyze(int argc, const char* const* argv, std::ostream& out, std::ostrea
   }
   ProfileSession profile(args.GetBool("profile"), args.Get("trace-out"), &out, &err);
 
-  std::string contracts_text;
-  if (args.Has("store-dir")) {
-    try {
-      DurableStore store(args.Get("store-dir"));
-      auto info = store.GetDataset(args.Get("dataset"));
-      if (!info || info->contracts_key == 0) {
-        err << "error: store has no contracts for dataset '" << args.Get("dataset")
-            << "' in " << args.Get("store-dir") << "\n";
-        return 2;
-      }
-      bool corrupt = false;
-      auto payload = store.GetObject(RecordType::kContracts, info->contracts_key,
-                                     "contracts", &corrupt);
-      if (!payload) {
-        err << "error: store_corrupt: persisted contract set for dataset '"
-            << args.Get("dataset") << "' is "
-            << (corrupt ? "corrupt" : "missing")
-            << "; relearn with `concord learn --store-dir`\n";
-        return 2;
-      }
-      contracts_text = std::move(*payload);
-    } catch (const std::exception& e) {
-      err << "error: " << e.what() << "\n";
-      return 2;
-    }
-  } else {
-    try {
-      contracts_text = ReadFile(args.Get("contracts"));
-    } catch (const std::exception& e) {
-      err << "error: " << e.what() << "\n";
-      return 2;
-    }
-  }
-
   LoadedInputs inputs;
-  std::string error;
   Deadline deadline = DeadlineFromFlags(args);
-  bool partial = false;
-  std::vector<ConfigIndex> built;
-  if (args.Has("configs")) {
-    // As in RunCheck, the set's recorded parse options drive config parsing so
-    // the postings the dead-pattern pass sees match what checking would see.
-    PatternTable scratch;
-    auto preview = ParseContracts(contracts_text, &scratch, &error);
-    if (!preview) {
-      err << "error: cannot parse contracts: " << error << "\n";
-      return 2;
-    }
-    bool embed = preview->embed_context && !args.GetBool("no-embedding");
-    bool constants = preview->constants_mode || args.GetBool("constants");
-    if (!LoadInputs(args, embed, constants, deadline, &inputs, err)) {
-      return 2;
-    }
-    partial = !inputs.skipped.empty();
-    built = BuildIndexes(inputs.dataset, &deadline);
-  }
-  auto set = ParseContracts(contracts_text, &inputs.dataset.patterns, &error);
+  std::optional<ContractSet> set =
+      LoadContractSet(args, args.Has("configs"), deadline, &inputs, err);
   if (!set) {
-    err << "error: cannot parse contracts: " << error << "\n";
     return 2;
   }
+  std::vector<ConfigIndex> built = BuildIndexes(inputs.dataset, &deadline);
 
   AnalyzeOptions options;
   options.conflicts = !args.GetBool("no-conflicts");
@@ -769,7 +597,7 @@ int RunAnalyze(int argc, const char* const* argv, std::ostream& out, std::ostrea
   // Exit codes: 0 clean, 1 findings at or above --fail-on, 2 error, 3 partial
   // (some configs failed to load, so the dead-pattern verdicts are not
   // trustworthy). Partial dominates, as in `concord check`.
-  if (partial) {
+  if (!inputs.skipped.empty()) {
     return 3;
   }
   if (fail_floor && analysis.CountAtOrAbove(*fail_floor) > 0) {

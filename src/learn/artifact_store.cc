@@ -211,9 +211,4 @@ std::vector<const ConfigSummary*> ArtifactStore::summaries() const {
   return out;
 }
 
-uint64_t ArtifactStore::ContentKeyOf(const std::string& name) const {
-  auto it = entries_.find(name);
-  return it == entries_.end() ? 0 : it->second->content_key;
-}
-
 }  // namespace concord

@@ -1,6 +1,6 @@
 // Content-addressed, per-configuration artifact store — the incremental engine
-// behind `Learner::Learn(ArtifactStore&)`, the serve `learn`/`update` verbs, and
-// `concord learn --incremental` (see DESIGN.md "Artifact pipeline").
+// behind `Learner::Learn(ArtifactStore&)` and the serve `learn`/`update` verbs
+// (see DESIGN.md "Artifact pipeline").
 //
 // Each resident configuration carries three staged artifacts:
 //
@@ -109,10 +109,6 @@ class ArtifactStore {
   std::vector<const ParsedConfig*> configs() const;
   std::vector<const ConfigIndex*> indexes() const;
   std::vector<const ConfigSummary*> summaries() const;
-
-  // Content key of a resident config; 0 when absent (ContentKey never returns 0
-  // for real input in practice, and callers only compare keys for equality).
-  uint64_t ContentKeyOf(const std::string& name) const;
 
   const ArtifactCounters& counters() const { return counters_; }
   void ResetCounters() { counters_ = ArtifactCounters(); }

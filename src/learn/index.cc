@@ -24,27 +24,16 @@ ConfigIndex BuildConfigIndex(const ParsedConfig* config,
   return index;
 }
 
-std::vector<ConfigIndex> BuildIndexes(const std::vector<const ParsedConfig*>& configs,
-                                      const std::vector<ParsedLine>& metadata,
-                                      const Deadline* deadline) {
+std::vector<ConfigIndex> BuildIndexes(const Dataset& dataset, const Deadline* deadline) {
   std::vector<ConfigIndex> indexes;
-  indexes.reserve(configs.size());
-  for (const ParsedConfig* config : configs) {
+  indexes.reserve(dataset.configs.size());
+  for (const ParsedConfig& config : dataset.configs) {
     if (deadline != nullptr) {
       ThrowIfExpired(*deadline);
     }
-    indexes.push_back(BuildConfigIndex(config, metadata));
+    indexes.push_back(BuildConfigIndex(&config, dataset.metadata));
   }
   return indexes;
-}
-
-std::vector<ConfigIndex> BuildIndexes(const Dataset& dataset, const Deadline* deadline) {
-  std::vector<const ParsedConfig*> configs;
-  configs.reserve(dataset.configs.size());
-  for (const ParsedConfig& config : dataset.configs) {
-    configs.push_back(&config);
-  }
-  return BuildIndexes(configs, dataset.metadata, deadline);
 }
 
 std::vector<uint32_t> CountConfigsPerPattern(const Dataset& dataset,

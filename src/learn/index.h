@@ -35,15 +35,10 @@ struct ConfigIndex {
 ConfigIndex BuildConfigIndex(const ParsedConfig* config,
                              const std::vector<ParsedLine>& metadata);
 
-// Builds one index per configuration. When `deadline` is given it is polled per
-// configuration; expiry raises DeadlineExceeded.
+// Builds one index per configuration, with the dataset's metadata appended to
+// each (§3.7). When `deadline` is given it is polled per configuration; expiry
+// raises DeadlineExceeded.
 std::vector<ConfigIndex> BuildIndexes(const Dataset& dataset,
-                                      const Deadline* deadline = nullptr);
-
-// Same, over externally owned configurations (the service checks cached parsed
-// configs that live outside any Dataset). `metadata` is appended to every config.
-std::vector<ConfigIndex> BuildIndexes(const std::vector<const ParsedConfig*>& configs,
-                                      const std::vector<ParsedLine>& metadata,
                                       const Deadline* deadline = nullptr);
 
 // Number of configurations whose index contains each pattern (dense by PatternId).

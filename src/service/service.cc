@@ -110,8 +110,7 @@ void Service::WarmRestart() {
     if (info.contracts_key == 0) {
       continue;
     }
-    auto payload = durable_->GetObject(RecordType::kContracts, info.contracts_key,
-                                       "contracts");
+    auto payload = durable_->GetContracts(info);
     if (!payload) {
       continue;
     }
@@ -126,7 +125,13 @@ bool Service::LoadContracts(const std::string& name, const std::string& path,
 }
 
 bool Service::LoadLexerDefinitions(const std::string& text, std::string* error) {
-  return lexer_.LoadDefinitions(text, error);
+  if (!lexer_.LoadDefinitions(text, error)) {
+    return false;
+  }
+  // Definitions accumulate, so the key chains; one file keys as Fnv1a64(text),
+  // exactly as `concord learn --lexer` records it.
+  lexer_key_ = Fnv1a64(text, lexer_key_ == 0 ? kFnv1a64OffsetBasis : lexer_key_);
+  return true;
 }
 
 std::string Service::HandleLine(const std::string& line) {
@@ -1073,43 +1078,25 @@ JsonValue Service::RelearnAndInstall(const std::string& name, ResidentDataset& d
 JsonValue Service::PersistDataset(const std::string& name, ResidentDataset& dataset,
                                   const std::string& serialized_contracts) {
   JsonValue out = JsonValue::Object();
-  size_t written = 0;
   try {
-    PersistedDatasetInfo info;
+    LearnInputTexts texts;
     for (const std::string& config : dataset.store.names()) {
-      const std::string* text = dataset.store.TextOf(config);
-      if (text == nullptr) {
-        continue;
+      if (const std::string* text = dataset.store.TextOf(config)) {
+        texts.configs[config] = *text;
       }
-      uint64_t key = dataset.store.ContentKeyOf(config);
-      if (durable_->PutObject(RecordType::kBlob, key, *text, "config")) {
-        ++written;
-      }
-      info.config_keys[config] = key;
     }
-    for (const std::string& text : dataset.store.metadata_texts()) {
-      uint64_t key = ContentKey("@meta", text);
-      if (durable_->PutObject(RecordType::kBlob, key, text, "metadata")) {
-        ++written;
-      }
-      info.metadata_keys.push_back(key);
-    }
-    uint64_t contracts_key = Fnv1a64(serialized_contracts);
-    if (durable_->PutObject(RecordType::kContracts, contracts_key,
-                            serialized_contracts, "contracts")) {
-      ++written;
-    }
-    info.contracts_key = contracts_key;
-    info.contract_count = ToInt64(dataset.contracts.contracts.size());
-    info.options = dataset.options;
-    durable_->PutDataset(name, info);
+    texts.metadata.assign(dataset.store.metadata_texts().begin(),
+                          dataset.store.metadata_texts().end());
+    size_t written = PersistLearn(
+        *durable_, name, texts,
+        LearnIdentity(texts, dataset.options, lexer_key_, dataset.contracts.embed_context),
+        serialized_contracts, ToInt64(dataset.contracts.contracts.size()));
     out.Set("persisted", JsonValue::Bool(true));
     out.Set("objects_written", JsonValue::Number(ToInt64(written)));
   } catch (const std::exception& e) {
     // Persistence is best-effort: the in-memory learn result stands, the
     // client learns the store is behind, and the next learn/update retries.
     out.Set("persisted", JsonValue::Bool(false));
-    out.Set("objects_written", JsonValue::Number(ToInt64(written)));
     out.Set("error", JsonValue::String(e.what()));
   }
   return out;
@@ -1173,8 +1160,7 @@ std::shared_ptr<Service::ResidentDataset> Service::HydrateDataset(
   // unaffected — it derives from the rehydrated inputs).
   if (info->contracts_key != 0) {
     bool corrupt = false;
-    auto payload = durable_->GetObject(RecordType::kContracts, info->contracts_key,
-                                       "contracts", &corrupt);
+    auto payload = durable_->GetContracts(*info, &corrupt);
     if (payload) {
       std::string error;
       auto set = ParseContracts(*payload, dataset->store.mutable_patterns(), &error);

@@ -196,6 +196,9 @@ class Service {
 
   ServiceOptions options_;
   Lexer lexer_;
+  // Content key of the loaded lexer definitions (0 = built-in lexer), recorded
+  // in persisted manifest entries.
+  uint64_t lexer_key_ = 0;
   ContractStore store_;
   std::unique_ptr<DurableStore> durable_;  // Null without a store_dir.
   ThreadPool pool_;

@@ -53,9 +53,8 @@ std::optional<uint64_t> ParseDecimalKey(const JsonValue& v) {
   }
 }
 
-// Category toggles as a fixed-order bit string, mirroring the CLI baseline's
-// options fingerprint (order: present, ordering, type, sequence, unique,
-// relational).
+// Category toggles as a fixed-order bit string (order: present, ordering,
+// type, sequence, unique, relational).
 std::string CategoriesString(const LearnOptions& o) {
   std::string s;
   for (bool b : {o.learn_present, o.learn_ordering, o.learn_type,
@@ -65,7 +64,66 @@ std::string CategoriesString(const LearnOptions& o) {
   return s;
 }
 
+// The persisted LearnOptions fields; also the form SameLearnSettings compares.
+JsonValue OptionsJson(const LearnOptions& o) {
+  JsonValue options = JsonValue::Object();
+  options.Set("support", JsonValue::Number(int64_t{o.support}));
+  options.Set("confidence", JsonValue::Number(o.confidence));
+  options.Set("score_threshold", JsonValue::Number(o.score_threshold));
+  options.Set("minimize", JsonValue::Bool(o.minimize));
+  options.Set("constants", JsonValue::Bool(o.constants));
+  options.Set("categories", JsonValue::String(CategoriesString(o)));
+  return options;
+}
+
 }  // namespace
+
+bool SameLearnSettings(const PersistedDatasetInfo& a, const PersistedDatasetInfo& b) {
+  return a.lexer_key && a.lexer_key == b.lexer_key && a.embed_context &&
+         a.embed_context == b.embed_context &&
+         OptionsJson(a.options).Serialize() == OptionsJson(b.options).Serialize();
+}
+
+bool SameLearnInputs(const PersistedDatasetInfo& a, const PersistedDatasetInfo& b) {
+  return a.config_keys == b.config_keys && a.metadata_keys == b.metadata_keys &&
+         SameLearnSettings(a, b);
+}
+
+PersistedDatasetInfo LearnIdentity(const LearnInputTexts& texts,
+                                   const LearnOptions& options, uint64_t lexer_key,
+                                   bool embed_context) {
+  PersistedDatasetInfo info;
+  for (const auto& [name, text] : texts.configs) {
+    info.config_keys[name] = ContentKey(name, text);
+  }
+  for (std::string_view text : texts.metadata) {
+    info.metadata_keys.push_back(ContentKey("@meta", text));
+  }
+  info.options = options;
+  info.lexer_key = lexer_key;
+  info.embed_context = embed_context;
+  return info;
+}
+
+size_t PersistLearn(DurableStore& store, const std::string& name,
+                    const LearnInputTexts& texts, PersistedDatasetInfo identity,
+                    std::string_view contracts, int64_t contract_count) {
+  size_t written = 0;
+  for (const auto& [config, text] : texts.configs) {
+    written += store.PutObject(RecordType::kBlob, identity.config_keys.at(config), text,
+                               "config");
+  }
+  for (size_t i = 0; i < texts.metadata.size(); ++i) {
+    written += store.PutObject(RecordType::kBlob, identity.metadata_keys.at(i),
+                               texts.metadata[i], "metadata");
+  }
+  identity.contracts_key = Fnv1a64(contracts);
+  written += store.PutObject(RecordType::kContracts, identity.contracts_key, contracts,
+                             "contracts");
+  identity.contract_count = contract_count;
+  store.PutDataset(name, identity);
+  return written;
+}
 
 JsonValue DatasetInfoToJson(const PersistedDatasetInfo& info) {
   JsonValue out = JsonValue::Object();
@@ -81,14 +139,13 @@ JsonValue DatasetInfoToJson(const PersistedDatasetInfo& info) {
   out.Set("metadata", std::move(metadata));
   out.Set("contracts_key", JsonValue::String(DecimalKey(info.contracts_key)));
   out.Set("contract_count", JsonValue::Number(info.contract_count));
-  JsonValue options = JsonValue::Object();
-  options.Set("support", JsonValue::Number(int64_t{info.options.support}));
-  options.Set("confidence", JsonValue::Number(info.options.confidence));
-  options.Set("score_threshold", JsonValue::Number(info.options.score_threshold));
-  options.Set("minimize", JsonValue::Bool(info.options.minimize));
-  options.Set("constants", JsonValue::Bool(info.options.constants));
-  options.Set("categories", JsonValue::String(CategoriesString(info.options)));
-  out.Set("options", std::move(options));
+  out.Set("options", OptionsJson(info.options));
+  if (info.lexer_key) {
+    out.Set("lexer_key", JsonValue::String(DecimalKey(*info.lexer_key)));
+  }
+  if (info.embed_context) {
+    out.Set("embed_context", JsonValue::Bool(*info.embed_context));
+  }
   return out;
 }
 
@@ -154,6 +211,13 @@ std::optional<PersistedDatasetInfo> DatasetInfoFromJson(const JsonValue& json) {
     info.options.learn_unique = s[4] == '1';
     info.options.learn_relational = s[5] == '1';
   }
+  if (const JsonValue* lexer_key = json.Find("lexer_key")) {
+    info.lexer_key = ParseDecimalKey(*lexer_key);
+    if (!info.lexer_key) {
+      return std::nullopt;
+    }
+  }
+  info.embed_context = json.GetBool("embed_context");
   return info;
 }
 
@@ -294,6 +358,11 @@ std::optional<std::string> DurableStore::GetObject(RecordType type, uint64_t key
     ++CounterFor(stage).corrupt;
     return std::nullopt;
   }
+}
+
+std::optional<std::string> DurableStore::GetContracts(const PersistedDatasetInfo& info,
+                                                      bool* corrupt) {
+  return GetObject(RecordType::kContracts, info.contracts_key, "contracts", corrupt);
 }
 
 bool DurableStore::HasObject(uint64_t key) const {

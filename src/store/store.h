@@ -74,7 +74,22 @@ struct PersistedDatasetInfo {
   // with exactly these for bit-identity. Deadline/parallelism are runtime-only
   // and not persisted.
   LearnOptions options;
+  // The parse-side inputs the contracts also depend on: the content key of the
+  // custom lexer definitions (0 = built-in lexer) and the context-embedding
+  // flag. Unset on entries written before they were recorded; such an entry
+  // still warm-restarts but never matches SameLearnInputs.
+  std::optional<uint64_t> lexer_key;
+  std::optional<bool> embed_context;
 };
+
+// True when both entries were learned with the same persisted LearnOptions
+// fields, lexer key and embedding flag (an unset lexer key or flag never
+// matches).
+bool SameLearnSettings(const PersistedDatasetInfo& a, const PersistedDatasetInfo& b);
+
+// SameLearnSettings plus identical config and metadata keys: a learn of `b`'s
+// inputs would reproduce `a`'s contracts, so they can be reused as they are.
+bool SameLearnInputs(const PersistedDatasetInfo& a, const PersistedDatasetInfo& b);
 
 class DurableStore {
  public:
@@ -104,6 +119,11 @@ class DurableStore {
                                        bool* corrupt = nullptr);
 
   bool HasObject(uint64_t key) const;
+
+  // Reads the contract set object `info` references (stage "contracts"); the
+  // same miss/corrupt semantics as GetObject.
+  std::optional<std::string> GetContracts(const PersistedDatasetInfo& info,
+                                          bool* corrupt = nullptr);
 
   // Relative object path for a key ("objects/ab/abcdef....rec").
   static std::string ObjectRelPath(uint64_t key);
@@ -165,6 +185,29 @@ class DurableStore {
   std::map<std::string, StoreStageCounters, std::less<>> counters_
       CONCORD_GUARDED_BY(mu_);
 };
+
+// One learn's input texts: configs by name, metadata documents in order. Views;
+// the caller owns the text.
+struct LearnInputTexts {
+  std::map<std::string, std::string_view> configs;
+  std::vector<std::string_view> metadata;
+};
+
+// The manifest entry a learn of `texts` with these settings persists, without
+// its contracts: configs keyed by ContentKey(name, text), metadata documents by
+// ContentKey("@meta", text). What a reuse lookup compares (SameLearnInputs).
+PersistedDatasetInfo LearnIdentity(const LearnInputTexts& texts,
+                                   const LearnOptions& options, uint64_t lexer_key,
+                                   bool embed_context);
+
+// Persists one learn (DESIGN.md §10): the input texts as content-addressed
+// blobs under `identity`'s keys (see LearnIdentity), the serialized contract set
+// as one object, then `name`'s manifest entry (the identity plus the contracts
+// key and count) in one atomic swap. Returns the number of objects newly
+// written; throws on I/O failure.
+size_t PersistLearn(DurableStore& store, const std::string& name,
+                    const LearnInputTexts& texts, PersistedDatasetInfo identity,
+                    std::string_view contracts, int64_t contract_count);
 
 // Manifest (de)serialization, exposed for tests. Keys are decimal strings —
 // JSON numbers round-trip through double and would corrupt 64-bit hashes.

@@ -100,8 +100,9 @@ TEST(ArtifactStore, UnchangedUpsertIsAParseHit) {
   EXPECT_EQ(store.counters().parse_hits, 1u);
   EXPECT_EQ(store.counters().parse_misses, 1u);
   EXPECT_TRUE(store.Contains("a.cfg"));
-  EXPECT_NE(store.ContentKeyOf("a.cfg"), 0u);
-  EXPECT_EQ(store.ContentKeyOf("missing.cfg"), 0u);
+  ASSERT_NE(store.TextOf("a.cfg"), nullptr);
+  EXPECT_EQ(*store.TextOf("a.cfg"), "vlan 7\n");
+  EXPECT_EQ(store.TextOf("missing.cfg"), nullptr);
 }
 
 TEST(ArtifactStore, RemoveShrinksTheCorpusWithoutInvalidatingOthers) {

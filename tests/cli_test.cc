@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "src/format/json.h"
+#include "src/store/store.h"
 #include "src/util/fault.h"
 #include "src/util/io.h"
 
@@ -73,6 +74,18 @@ class CliTest : public ::testing::Test {
 
   std::string ConfigsGlob() const { return (dir_ / "configs" / "*.cfg").string(); }
   std::string ContractsPath() const { return (dir_ / "contracts.json").string(); }
+  std::string StoreDir() const { return (dir_ / "store").string(); }
+
+  // Contract bytes of a from-scratch learn (no store) of the configs with
+  // `flags`.
+  std::string FreshLearn(const std::vector<std::string>& flags) {
+    std::string path = (dir_ / "fresh.json").string();
+    std::vector<std::string> args = {"learn", "--configs", ConfigsGlob(), "--out", path,
+                                     "--quiet"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    EXPECT_EQ(Run(args), 0);
+    return ReadFile(path);
+  }
 
   std::filesystem::path dir_;
 };
@@ -284,57 +297,161 @@ TEST_F(CliTest, CustomLexerFile) {
   EXPECT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--lexer", "/nonexistent"}), 2);
 }
 
-TEST_F(CliTest, IncrementalLearnReusesBaselineAndReportsDelta) {
-  std::string baseline = (dir_ / "state.json").string();
+TEST_F(CliTest, StoreLearnReusesUnchangedInputsAndReportsDelta) {
+  std::string store_dir = StoreDir();
   std::string out;
 
-  // First run: no baseline yet, full learn, state written.
+  // First run: nothing persisted yet, full learn, dataset persisted.
   ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
-                 ContractsPath(), "--incremental", "--baseline", baseline},
+                 ContractsPath(), "--store-dir", store_dir},
                 &out),
             0);
-  EXPECT_NE(out.find("no usable baseline"), std::string::npos);
-  ASSERT_TRUE(std::filesystem::exists(baseline));
+  EXPECT_NE(out.find("no previous learn of dataset 'default'"), std::string::npos);
+  EXPECT_NE(out.find("store: persisted dataset 'default'"), std::string::npos);
   std::string first = ReadFile(ContractsPath());
 
-  // Second run, unchanged inputs: the learn is skipped, output is bit-identical.
+  // Second run, unchanged inputs: the learn is skipped (no mining in the
+  // profile) and the output is bit-identical.
   std::string second_path = (dir_ / "contracts2.json").string();
   ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
-                 second_path, "--incremental", "--baseline", baseline},
+                 second_path, "--store-dir", store_dir, "--profile"},
                 &out),
             0);
-  EXPECT_NE(out.find("unchanged since baseline"), std::string::npos);
+  EXPECT_NE(out.find("6 config(s) unchanged since dataset 'default'"),
+            std::string::npos);
+  EXPECT_EQ(out.find("learn/mine"), std::string::npos);
   EXPECT_EQ(ReadFile(second_path), first);
 
-  // Changing one config forces a relearn and reports the delta.
+  // Changing one config forces a relearn and reports the delta against the
+  // manifest's config keys.
   WriteFile((dir_ / "configs" / "dev3.cfg").string(), Config(3) + "ntp server 10.0.0.9\n");
   ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
-                 ContractsPath(), "--incremental", "--baseline", baseline},
+                 ContractsPath(), "--store-dir", store_dir},
                 &out),
             0);
-  EXPECT_NE(out.find("0 added, 0 removed, 1 modified"), std::string::npos);
-
-  // Incremental output equals a from-scratch learn of the same inputs.
-  std::string scratch_path = (dir_ / "contracts3.json").string();
-  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
-                 scratch_path}),
-            0);
-  EXPECT_EQ(ReadFile(ContractsPath()), ReadFile(scratch_path));
+  EXPECT_EQ(out.find("unchanged since dataset"), std::string::npos);
+  EXPECT_NE(out.find("0 added, 0 removed, 1 modified)"), std::string::npos);
+  EXPECT_EQ(ReadFile(ContractsPath()), FreshLearn({"--support", "3"}));
 }
 
-TEST_F(CliTest, IncrementalLearnInvalidatesOnOptionChange) {
-  std::string baseline = (dir_ / "state.json").string();
-  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
-                 ContractsPath(), "--incremental", "--baseline", baseline}),
+TEST_F(CliTest, StoreLearnRelearnsWhenASettingChanges) {
+  std::string lexer_path = (dir_ / "lexer.txt").string();
+  WriteFile(lexer_path, "hostword DEV[0-9]+\n");
+  // Each case changes one input the contracts depend on, relative to the
+  // previous learn of the same dataset; the relearn must equal a from-scratch
+  // learn with the new setting.
+  const std::vector<std::vector<std::string>> settings = {
+      {"--support", "7"},  // More than the 6 configs: no contracts.
+      {"--support", "3"},
+      {"--support", "3", "--lexer", lexer_path},
+      {"--support", "3", "--lexer", lexer_path, "--no-embedding"},
+  };
+  std::string store_dir = StoreDir();
+  std::string previous;
+  for (size_t i = 0; i < settings.size(); ++i) {
+    std::vector<std::string> args = {"learn", "--configs", ConfigsGlob(), "--out",
+                                     ContractsPath(), "--store-dir", store_dir};
+    args.insert(args.end(), settings[i].begin(), settings[i].end());
+    std::string out;
+    ASSERT_EQ(Run(args, &out), 0) << i;
+    EXPECT_EQ(out.find("unchanged since dataset"), std::string::npos) << i;
+    if (i > 0) {
+      EXPECT_NE(out.find("0 added, 0 removed, 0 modified, options changed)"),
+                std::string::npos)
+          << i << ": " << out;
+    }
+    std::string learned = ReadFile(ContractsPath());
+    EXPECT_EQ(learned, FreshLearn(settings[i])) << i;
+    // The change is visible in the contracts, so a stale reuse would show.
+    EXPECT_NE(learned, previous) << i;
+    previous = learned;
+  }
+}
+
+TEST_F(CliTest, StoreLearnRelearnsWhenTheLexerFileChanges) {
+  // Same flag, same path, different definitions: the lexer key is the
+  // content key of the definitions, not of the path.
+  std::string lexer_path = (dir_ / "lexer.txt").string();
+  std::string store_dir = StoreDir();
+  WriteFile(lexer_path, "# built-in tokens only\n");
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--lexer",
+                 lexer_path, "--out", ContractsPath(), "--store-dir", store_dir}),
             0);
+  WriteFile(lexer_path, "hostword DEV[0-9]+\n");
   std::string out;
-  // Same inputs but a different threshold: the baseline must not be reused.
-  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "4", "--out",
-                 ContractsPath(), "--incremental", "--baseline", baseline},
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--lexer",
+                 lexer_path, "--out", ContractsPath(), "--store-dir", store_dir},
                 &out),
             0);
-  EXPECT_EQ(out.find("unchanged since baseline"), std::string::npos);
   EXPECT_NE(out.find("options changed"), std::string::npos);
+  EXPECT_EQ(ReadFile(ContractsPath()), FreshLearn({"--support", "3", "--lexer", lexer_path}));
+}
+
+TEST_F(CliTest, StoreLearnWithCorruptContractsObjectRelearns) {
+  std::string store_dir = StoreDir();
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
+                 ContractsPath(), "--store-dir", store_dir}),
+            0);
+  std::string first = ReadFile(ContractsPath());
+  uint64_t contracts_key = 0;
+  {
+    DurableStore store(store_dir);
+    auto info = store.GetDataset("default");
+    ASSERT_TRUE(info.has_value());
+    contracts_key = info->contracts_key;
+  }
+  std::string object = store_dir + "/" + DurableStore::ObjectRelPath(contracts_key);
+  std::string bytes = ReadFile(object);
+  bytes[bytes.size() / 2] ^= 0x5a;
+  WriteFile(object, bytes);
+
+  std::string out;
+  std::filesystem::remove(ContractsPath());
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
+                 ContractsPath(), "--store-dir", store_dir},
+                &out),
+            0);
+  EXPECT_EQ(out.find("unchanged since dataset"), std::string::npos);
+  EXPECT_NE(out.find("contracts corrupt)"), std::string::npos);
+  EXPECT_EQ(ReadFile(ContractsPath()), first);
+}
+
+TEST_F(CliTest, CheckFromStoreMatchesCheckFromContractsFile) {
+  std::string store_dir = StoreDir();
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
+                 ContractsPath(), "--store-dir", store_dir}),
+            0);
+  std::string buggy = (dir_ / "buggy.cfg").string();
+  WriteFile(buggy, Config(7) + "ip address not-an-address\n");
+  std::string from_file = (dir_ / "from_file.json").string();
+  std::string from_store = (dir_ / "from_store.json").string();
+  int file_code = Run({"check", "--configs", buggy, "--configs", ConfigsGlob(),
+                       "--contracts", ContractsPath(), "--json-out", from_file, "--quiet"});
+  int store_code = Run({"check", "--configs", buggy, "--configs", ConfigsGlob(),
+                        "--store-dir", store_dir, "--json-out", from_store, "--quiet"});
+  EXPECT_EQ(store_code, file_code);
+  EXPECT_EQ(ReadFile(from_store), ReadFile(from_file));
+
+  std::string err;
+  EXPECT_EQ(Run({"check", "--configs", buggy, "--store-dir", store_dir, "--dataset",
+                 "nope"},
+                nullptr, &err),
+            2);
+  EXPECT_NE(err.find("store has no contracts for dataset 'nope'"), std::string::npos);
+}
+
+TEST_F(CliTest, RemovedIncrementalLearnFlagsAreUnknown) {
+  std::string err;
+  EXPECT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
+                 ContractsPath(), "--incremental"},
+                nullptr, &err),
+            2);
+  EXPECT_NE(err.find("unknown flag"), std::string::npos) << err;
+  EXPECT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
+                 ContractsPath(), "--baseline", (dir_ / "state.json").string()},
+                nullptr, &err),
+            2);
+  EXPECT_NE(err.find("unknown flag"), std::string::npos) << err;
 }
 
 TEST_F(CliTest, ProfilePrintsBreakdownAndWritesChromeTrace) {

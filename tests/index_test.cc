@@ -71,48 +71,37 @@ TEST(CountConfigsPerPattern, MetadataPatternsCountedPerConfig) {
   EXPECT_EQ(counts[d.configs[0].lines[0].pattern], 1u);
 }
 
-TEST(BuildIndexes, ExternalConfigsOverloadAppendsMetadata) {
-  // The service builds indexes over cached parsed configs that live outside any
-  // Dataset; metadata must land after each config's own lines, exactly as the
-  // Dataset overload does it.
+TEST(BuildIndexes, AppendsMetadataToEveryConfig) {
+  // Metadata must land after each config's own lines.
   Dataset d = BuildDataset({"vlan 1\nvlan 2\n", "hostname X\n"});
   Lexer lexer;
   ConfigParser parser(&lexer, &d.patterns, ParseOptions{});
-  std::vector<ParsedLine> metadata = parser.ParseMetadata("{\"vlanId\": 7}");
+  d.metadata = parser.ParseMetadata("{\"vlanId\": 7}");
 
-  std::vector<const ParsedConfig*> configs;
-  for (const ParsedConfig& config : d.configs) {
-    configs.push_back(&config);
-  }
-  auto indexes = BuildIndexes(configs, metadata);
+  auto indexes = BuildIndexes(d);
   ASSERT_EQ(indexes.size(), 2u);
   EXPECT_EQ(indexes[0].own_line_count, 2u);
   EXPECT_EQ(indexes[0].lines.size(), 3u);
   EXPECT_EQ(indexes[1].own_line_count, 1u);
   EXPECT_EQ(indexes[1].lines.size(), 2u);
   for (const ConfigIndex& index : indexes) {
-    EXPECT_EQ(index.lines.back(), &metadata[0]);
-    EXPECT_TRUE(index.ContainsPattern(metadata[0].pattern));
+    EXPECT_EQ(index.lines.back(), &d.metadata[0]);
+    EXPECT_TRUE(index.ContainsPattern(d.metadata[0].pattern));
   }
 
   // Per-config index built directly (the artifact pipeline's Index stage)
-  // matches the batch overload.
-  ConfigIndex single = BuildConfigIndex(&d.configs[0], metadata);
+  // matches the batch build.
+  ConfigIndex single = BuildConfigIndex(&d.configs[0], d.metadata);
   EXPECT_EQ(single.own_line_count, indexes[0].own_line_count);
   EXPECT_EQ(single.lines, indexes[0].lines);
 }
 
-TEST(BuildIndexes, ExternalConfigsOverloadHonorsDeadline) {
+TEST(BuildIndexes, HonorsDeadline) {
   Dataset d = BuildDataset({"vlan 1\n", "vlan 2\n", "vlan 3\n"});
-  std::vector<const ParsedConfig*> configs;
-  for (const ParsedConfig& config : d.configs) {
-    configs.push_back(&config);
-  }
-  std::vector<ParsedLine> metadata;
   Deadline expired = Deadline::After(0);
-  EXPECT_THROW(BuildIndexes(configs, metadata, &expired), DeadlineExceeded);
+  EXPECT_THROW(BuildIndexes(d, &expired), DeadlineExceeded);
   Deadline open = Deadline::Never();
-  EXPECT_EQ(BuildIndexes(configs, metadata, &open).size(), 3u);
+  EXPECT_EQ(BuildIndexes(d, &open).size(), 3u);
 }
 
 TEST(PatternTable, InternDeduplicates) {

@@ -101,6 +101,8 @@ TEST_F(StoreTest, ManifestRoundTripsAcrossReopen) {
   info.options.constants = true;
   info.options.minimize = false;
   info.options.learn_ordering = false;
+  info.lexer_key = 0xabcdef0123456789ull;
+  info.embed_context = false;
   {
     DurableStore store(Dir());
     store.PutDataset("edge", info);
@@ -119,6 +121,9 @@ TEST_F(StoreTest, ManifestRoundTripsAcrossReopen) {
   EXPECT_FALSE(loaded->options.minimize);
   EXPECT_FALSE(loaded->options.learn_ordering);
   EXPECT_TRUE(loaded->options.learn_present);
+  EXPECT_EQ(loaded->lexer_key, info.lexer_key);
+  EXPECT_EQ(loaded->embed_context, false);
+  EXPECT_TRUE(SameLearnInputs(*loaded, info));
   EXPECT_FALSE(reopened.manifest_corrupt());
 }
 
@@ -127,10 +132,53 @@ TEST_F(StoreTest, DatasetInfoJsonKeepsFullKeyPrecision) {
   PersistedDatasetInfo info;
   info.config_keys["c"] = 0xfedcba9876543210ull;
   info.contracts_key = 0xffffffffffffffffull;
+  info.lexer_key = 0xfedcba9876543211ull;
+  info.embed_context = true;
   auto back = DatasetInfoFromJson(DatasetInfoToJson(info));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->config_keys["c"], 0xfedcba9876543210ull);
   EXPECT_EQ(back->contracts_key, 0xffffffffffffffffull);
+  EXPECT_EQ(back->lexer_key, 0xfedcba9876543211ull);
+  EXPECT_EQ(back->embed_context, true);
+}
+
+TEST_F(StoreTest, EntryWithoutLexerKeyOrEmbeddingParsesButNeverMatches) {
+  // An entry written before the lexer key and embedding flag were recorded
+  // still loads (warm restarts use it), but it can never prove a learn's
+  // inputs unchanged, so a reuse lookup always misses and relearns once.
+  PersistedDatasetInfo current;
+  current.config_keys["c"] = 5;
+  current.metadata_keys = {6};
+  current.contracts_key = 7;
+  current.lexer_key = 0;
+  current.embed_context = true;
+  JsonValue json = DatasetInfoToJson(current);
+  ASSERT_NE(json.Find("lexer_key"), nullptr);
+  ASSERT_NE(json.Find("embed_context"), nullptr);
+  JsonValue legacy = JsonValue::Object();
+  for (const auto& [key, value] : json.members()) {
+    if (key != "lexer_key" && key != "embed_context") {
+      legacy.Set(key, value);
+    }
+  }
+  auto old = DatasetInfoFromJson(legacy);
+  ASSERT_TRUE(old.has_value());
+  EXPECT_EQ(old->config_keys, current.config_keys);
+  EXPECT_EQ(old->contracts_key, 7u);
+  EXPECT_FALSE(old->lexer_key.has_value());
+  EXPECT_FALSE(old->embed_context.has_value());
+  EXPECT_FALSE(SameLearnInputs(*old, current));
+  EXPECT_FALSE(SameLearnInputs(current, *old));
+  EXPECT_FALSE(SameLearnInputs(*old, *old));
+  EXPECT_TRUE(SameLearnInputs(current, current));
+
+  // Each recorded setting is part of the identity.
+  PersistedDatasetInfo other_lexer = current;
+  other_lexer.lexer_key = 1;
+  EXPECT_FALSE(SameLearnInputs(current, other_lexer));
+  PersistedDatasetInfo no_embedding = current;
+  no_embedding.embed_context = false;
+  EXPECT_FALSE(SameLearnInputs(current, no_embedding));
 }
 
 TEST_F(StoreTest, RemoveDatasetPersists) {
