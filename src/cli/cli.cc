@@ -7,6 +7,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/analyze/analyzer.h"
@@ -45,8 +46,8 @@ void AddCommonFlags(ArgParser* parser) {
   parser->AddBoolFlag("quiet", "suppress the textual summary");
   parser->AddBoolFlag("profile", "print a per-stage time/allocation breakdown");
   parser->AddFlag("trace-out",
-                  "with --profile: write a Chrome trace_event JSON file "
-                  "(load via chrome://tracing or https://ui.perfetto.dev)");
+                  "write a Chrome trace_event JSON file (requires --profile; "
+                  "load via chrome://tracing or https://ui.perfetto.dev)");
 }
 
 // Owns the trace collector for a --profile run: full event collection plus
@@ -102,6 +103,16 @@ class ProfileSession {
   std::ostream* err_;
 };
 
+// --trace-out writes the events a --profile session collects; alone it would
+// silently write nothing.
+bool ProfileFlagsValid(const ArgParser& args, std::ostream& err) {
+  if (args.Has("trace-out") && !args.GetBool("profile")) {
+    err << "error: --trace-out requires --profile\n";
+    return false;
+  }
+  return true;
+}
+
 Deadline DeadlineFromFlags(const ArgParser& args) {
   int64_t ms = args.GetInt("deadline-ms").value_or(0);
   return ms > 0 ? Deadline::After(ms) : Deadline::Never();
@@ -128,9 +139,11 @@ struct LoadedInputs {
 // surviving configs load normally. Only a load that yields *no* usable configs
 // (or a bad lexer file) fails outright. The deadline is polled per file so a
 // huge or slow-to-read corpus cannot blow past --deadline-ms before the
-// learn/check phases ever consult it; expiry throws DeadlineExceeded.
-bool LoadInputs(const ArgParser& args, bool embed_context, bool constants,
-                const Deadline& deadline, LoadedInputs* inputs, std::ostream& err) {
+// learn/check phases ever consult it; expiry throws DeadlineExceeded. Config
+// parses are traced as `<command>/parse`.
+bool LoadInputs(const ArgParser& args, std::string_view command, bool embed_context,
+                bool constants, const Deadline& deadline, LoadedInputs* inputs,
+                std::ostream& err) {
   if (!args.Has("configs")) {
     err << "error: --configs is required\n";
     return false;
@@ -171,7 +184,7 @@ bool LoadInputs(const ArgParser& args, bool embed_context, bool constants,
       continue;
     }
     try {
-      TraceSpan span("learn", "parse");
+      TraceSpan span(command, "parse");
       inputs->dataset.configs.push_back(parser.Parse(file, text));
       if (args.Has("store-dir")) {
         inputs->config_texts[file] = std::move(text);
@@ -218,9 +231,9 @@ bool LoadInputs(const ArgParser& args, bool embed_context, bool constants,
 // records, so their postings match what learning saw; the set is interned into
 // their pattern table. A damaged store surfaces as store_corrupt, never a crash
 // or a silent pass. nullopt (after printing the error) means exit 2.
-std::optional<ContractSet> LoadContractSet(const ArgParser& args, bool with_configs,
-                                           const Deadline& deadline, LoadedInputs* inputs,
-                                           std::ostream& err) {
+std::optional<ContractSet> LoadContractSet(const ArgParser& args, std::string_view command,
+                                           bool with_configs, const Deadline& deadline,
+                                           LoadedInputs* inputs, std::ostream& err) {
   std::string text;
   try {
     if (!args.Has("store-dir")) {
@@ -257,7 +270,7 @@ std::optional<ContractSet> LoadContractSet(const ArgParser& args, bool with_conf
     }
     bool embed = preview->embed_context && !args.GetBool("no-embedding");
     bool constants = preview->constants_mode || args.GetBool("constants");
-    if (!LoadInputs(args, embed, constants, deadline, inputs, err)) {
+    if (!LoadInputs(args, command, embed, constants, deadline, inputs, err)) {
       return std::nullopt;
     }
   }
@@ -285,6 +298,9 @@ int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream&
   args.AddBoolFlag("no-minimize", "skip relational contract minimization (§3.6)");
   if (!args.Parse(argc, argv, 2)) {
     err << "error: " << args.error() << "\n" << args.Usage();
+    return 2;
+  }
+  if (!ProfileFlagsValid(args, err)) {
     return 2;
   }
   ProfileSession profile(args.GetBool("profile"), args.Get("trace-out"), &out, &err);
@@ -318,7 +334,7 @@ int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream&
   bool embed = !args.GetBool("no-embedding");
   options.deadline = DeadlineFromFlags(args);
   LoadedInputs inputs;
-  if (!LoadInputs(args, embed, options.constants, options.deadline, &inputs, err)) {
+  if (!LoadInputs(args, "learn", embed, options.constants, options.deadline, &inputs, err)) {
     return 2;
   }
 
@@ -448,12 +464,15 @@ int RunCheck(int argc, const char* const* argv, std::ostream& out, std::ostream&
     err << "error: " << args.error() << "\n" << args.Usage();
     return 2;
   }
+  if (!ProfileFlagsValid(args, err)) {
+    return 2;
+  }
   ProfileSession profile(args.GetBool("profile"), args.Get("trace-out"), &out, &err);
 
   LoadedInputs inputs;
   Deadline deadline = DeadlineFromFlags(args);
   std::optional<ContractSet> set =
-      LoadContractSet(args, /*with_configs=*/true, deadline, &inputs, err);
+      LoadContractSet(args, "check", /*with_configs=*/true, deadline, &inputs, err);
   if (!set) {
     return 2;
   }
@@ -559,12 +578,15 @@ int RunAnalyze(int argc, const char* const* argv, std::ostream& out, std::ostrea
       return 2;
     }
   }
+  if (!ProfileFlagsValid(args, err)) {
+    return 2;
+  }
   ProfileSession profile(args.GetBool("profile"), args.Get("trace-out"), &out, &err);
 
   LoadedInputs inputs;
   Deadline deadline = DeadlineFromFlags(args);
   std::optional<ContractSet> set =
-      LoadContractSet(args, args.Has("configs"), deadline, &inputs, err);
+      LoadContractSet(args, "analyze", args.Has("configs"), deadline, &inputs, err);
   if (!set) {
     return 2;
   }

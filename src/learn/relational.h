@@ -4,9 +4,10 @@
 // with every relation — quadratic in the tens of thousands of parameters real configs
 // carry. Concord instead discovers candidates from *actual matches*:
 //
-//   Pass 1 (per configuration): insert every transformed parameter value into the
-//   relation-finding structures — equality hash index, prefix trie, forward and
-//   reversed affix tries.
+//   Pass 1 (per configuration): render every transformed parameter value once into
+//   a key table (dense u32 id per distinct key text, its score computed once), then
+//   build the relation-finding structures — equality buckets indexed by key id,
+//   prefix trie, forward and reversed affix tries.
 //
 //   Pass 2 (per configuration): look each value up, producing candidate (forall,
 //   relation, exists) keys together with the forall-side line that found a witness.
@@ -15,7 +16,9 @@
 //
 // Candidates are aggregated across configurations; a contract is learned when it meets
 // support S, confidence C, and the cumulative informativeness threshold (diversity-
-// aggregated over distinct witness keys, §3.5 "reducing false positives").
+// aggregated over distinct witness keys, §3.5 "reducing false positives"). A witness
+// counts with the first score recorded for it, and a candidate counts at most 256
+// witnesses: the first ones in (configuration, first-mark) order.
 #ifndef SRC_LEARN_RELATIONAL_H_
 #define SRC_LEARN_RELATIONAL_H_
 

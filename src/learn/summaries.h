@@ -22,7 +22,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/contracts/contract.h"
@@ -62,15 +63,28 @@ struct RelationalKeyHash {
 
 // One candidate's evidence within one configuration.
 struct RelationalCandidate {
+  RelationalKey key;
   // Did every forall-side line of this config find a witness?
   bool holds = false;
-  // Distinct witness keys with their instance scores, capped (diversity, §3.5).
-  std::unordered_map<std::string, double> diversity;
+  // Distinct witnesses (ids into the summary's witness pool) with their instance
+  // scores, in first-mark order. The first score recorded for a witness wins, and
+  // at most 256 witnesses are kept (diversity, §3.5).
+  std::vector<std::pair<uint32_t, double>> diversity;
 };
 
+// Self-contained: witness texts live in the summary's own pool, so a summary can
+// be cached, moved or outlive the config index it was computed from.
 struct RelationalConfigSummary {
-  std::unordered_map<RelationalKey, RelationalCandidate, RelationalKeyHash> candidates;
+  std::vector<RelationalCandidate> candidates;  // First-mark order.
+  // Witness pool: witness i is witness_text[witness_ends[i - 1], witness_ends[i]).
+  std::string witness_text;
+  std::vector<uint32_t> witness_ends;
   size_t match_events = 0;  // Marks recorded (the §5.2 ablation statistic).
+
+  std::string_view Witness(uint32_t id) const {
+    uint32_t begin = id == 0 ? 0 : witness_ends[id - 1];
+    return std::string_view(witness_text).substr(begin, witness_ends[id] - begin);
+  }
 };
 
 // ---- Non-relational summary types. ----

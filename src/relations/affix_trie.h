@@ -9,7 +9,7 @@
 #ifndef SRC_RELATIONS_AFFIX_TRIE_H_
 #define SRC_RELATIONS_AFFIX_TRIE_H_
 
-#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -27,32 +27,49 @@ class AffixTrie {
   // `reversed` selects endswith mode.
   explicit AffixTrie(bool reversed);
 
-  void Insert(const std::string& key, ParamRef ref);
+  void Insert(std::string_view key, ParamRef ref);
 
   // All inserted keys that are a proper affix of `query` (strictly shorter, length
   // >= 1; equality is the equality relation's job, not affix's).
-  void FindAffixesOf(const std::string& query, std::vector<Hit>* out) const;
+  void FindAffixesOf(std::string_view query, std::vector<Hit>* out) const;
 
   size_t num_keys() const { return num_keys_; }
 
  private:
+  // Nodes and terminals live in two flat vectors linked by index, so building a
+  // trie costs a handful of vector growths rather than two heap blocks per node.
+  // Children form a sibling list, scanned linearly: trie fanout is tiny (digits,
+  // hex, a few letters). Terminals form a list in insertion order, which is the
+  // order FindAffixesOf reports them in.
   struct Node {
-    // Flat edge list, linearly scanned: trie fanout is tiny (digits, hex, a few
-    // letters), where a vector beats any hash map on both probes and footprint.
-    std::vector<std::pair<char, int32_t>> children;
-    std::vector<ParamRef> terminals;
-
-    int32_t Child(char c) const {
-      for (const auto& [edge, node] : children) {
-        if (edge == c) {
-          return node;
-        }
-      }
-      return -1;
-    }
+    int32_t first_child = -1;
+    int32_t next_sibling = -1;
+    int32_t first_terminal = -1;
+    int32_t last_terminal = -1;
+    char edge = 0;
+  };
+  struct Terminal {
+    ParamRef ref;
+    int32_t next = -1;
   };
 
+  int32_t Child(int32_t node, char c) const {
+    for (int32_t child = nodes_[node].first_child; child >= 0;
+         child = nodes_[child].next_sibling) {
+      if (nodes_[child].edge == c) {
+        return child;
+      }
+    }
+    return -1;
+  }
+
+  // The i-th character of `s` in walk order (back to front when reversed).
+  char At(std::string_view s, size_t i) const {
+    return reversed_ ? s[s.size() - 1 - i] : s[i];
+  }
+
   std::vector<Node> nodes_;
+  std::vector<Terminal> terminals_;
   bool reversed_;
   size_t num_keys_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "src/store/store.h"
 
+#include <algorithm>
 #include <filesystem>
 
 #include "src/util/hash.h"
@@ -319,14 +320,29 @@ bool DurableStore::PutObject(RecordType type, uint64_t key,
                              std::string_view payload, std::string_view stage) {
   std::string path = ObjectPath(key);
   std::error_code ec;
-  if (std::filesystem::exists(path, ec)) {
-    return false;  // Content-addressed: same key, same bytes.
+  const bool exists = std::filesystem::exists(path, ec);
+  uint64_t replaced_bytes = 0;
+  if (exists) {
+    // Content-addressed: an intact object holds these bytes already. One that no
+    // longer reads back is rewritten, so a later persist heals the damage.
+    try {
+      (void)ReadRecordFile(path, type);
+      return false;
+    } catch (const std::exception&) {
+      replaced_bytes = std::filesystem::file_size(path, ec);
+      if (ec) {
+        replaced_bytes = 0;
+      }
+    }
   }
   WriteRecordFile(path, type, payload);
   MutexLock lock(mu_);
   (void)CounterFor(stage);  // Materialize the stage row even if never read.
-  ++object_count_;
+  if (!exists) {
+    ++object_count_;
+  }
   total_bytes_ += kRecordHeaderBytes + payload.size() + kRecordTrailerBytes;
+  total_bytes_ -= std::min<uint64_t>(replaced_bytes, total_bytes_);
   return true;
 }
 

@@ -105,9 +105,10 @@ class DurableStore {
 
   // ---- Objects. ----
 
-  // Writes the object unless it already exists (content addressing makes the
-  // existing bytes equal by construction). Returns true when a file was
-  // written. `stage` labels the counters ("config", "metadata", "contracts").
+  // Writes the object unless an intact one already exists (content addressing
+  // makes its bytes equal by construction); an existing file that no longer
+  // reads back is rewritten. Returns true when a file was written. `stage`
+  // labels the counters ("config", "metadata", "contracts").
   bool PutObject(RecordType type, uint64_t key, std::string_view payload,
                  std::string_view stage);
 

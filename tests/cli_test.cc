@@ -414,6 +414,17 @@ TEST_F(CliTest, StoreLearnWithCorruptContractsObjectRelearns) {
   EXPECT_EQ(out.find("unchanged since dataset"), std::string::npos);
   EXPECT_NE(out.find("contracts corrupt)"), std::string::npos);
   EXPECT_EQ(ReadFile(ContractsPath()), first);
+
+  // The relearn rewrote the damaged object, so the next run reuses it.
+  EXPECT_NE(ReadFile(object), bytes);
+  std::filesystem::remove(ContractsPath());
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
+                 ContractsPath(), "--store-dir", store_dir},
+                &out),
+            0);
+  EXPECT_NE(out.find("6 config(s) unchanged since dataset 'default'"), std::string::npos)
+      << out;
+  EXPECT_EQ(ReadFile(ContractsPath()), first);
 }
 
 TEST_F(CliTest, CheckFromStoreMatchesCheckFromContractsFile) {
@@ -496,6 +507,30 @@ TEST_F(CliTest, CheckProfileCoversTheCheckStages) {
             0);
   EXPECT_NE(out.find("profile: per-stage breakdown"), std::string::npos);
   EXPECT_NE(out.find("check/total"), std::string::npos);
+  // The config parse bills to the command that ran it.
+  EXPECT_NE(out.find("check/parse"), std::string::npos) << out;
+  EXPECT_EQ(out.find("learn/parse"), std::string::npos) << out;
+}
+
+TEST_F(CliTest, TraceOutRequiresProfile) {
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
+                 ContractsPath()}),
+            0);
+  std::string trace_path = (dir_ / "trace.json").string();
+  const std::vector<std::vector<std::string>> commands = {
+      {"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
+       (dir_ / "other.json").string()},
+      {"check", "--configs", ConfigsGlob(), "--contracts", ContractsPath()},
+      {"analyze", "--contracts", ContractsPath()},
+  };
+  for (std::vector<std::string> args : commands) {
+    args.insert(args.end(), {"--trace-out", trace_path});
+    std::string err;
+    EXPECT_EQ(Run(args, nullptr, &err), 2) << args[0];
+    EXPECT_NE(err.find("--trace-out requires --profile"), std::string::npos)
+        << args[0] << ": " << err;
+    EXPECT_FALSE(std::filesystem::exists(trace_path)) << args[0];
+  }
 }
 
 TEST_F(CliTest, JsonReportCarriesErrorEnvelope) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/relations/score.h"
 #include "src/util/strings.h"
 #include "tests/test_util.h"
 
@@ -185,6 +186,70 @@ TEST(MineRelational, MetadataRelationsLearned) {
   const Contract* c = Find(contracts, d, RelationKind::kEquals, "vlan [a:num]", "@meta");
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(d.patterns.Get(c->pattern2).text, "@meta/nfInfos/vlanId [a:num]");
+}
+
+// ---- Diversity rules (§3.5): distinct witnesses, first score wins, capped. ----
+
+const Contract* FindIdentity(const std::vector<Contract>& contracts, const Dataset& d,
+                             RelationKind relation, const std::string& p1_sub,
+                             const std::string& p2_sub) {
+  for (const Contract& c : contracts) {
+    if (c.transform1 == IdTransform() && c.transform2 == IdTransform() &&
+        c.relation == relation &&
+        d.patterns.Get(c.pattern).text.find(p1_sub) != std::string::npos &&
+        d.patterns.Get(c.pattern2).text.find(p2_sub) != std::string::npos) {
+      return &c;
+    }
+  }
+  return nullptr;
+}
+
+TEST(RelationalDiversity, ScoreCountsAtMost256DistinctWitnesses) {
+  // 300 configs, each relating its own 4-digit value (KeyScore 3.0): only 256 of
+  // the 300 distinct witnesses count.
+  std::vector<std::string> texts;
+  for (int i = 0; i < 300; ++i) {
+    std::string v = std::to_string(1000 + i * 29);
+    texts.push_back("left " + v + "\nright " + v + "\n");
+  }
+  Dataset d = BuildDataset(texts);
+  auto contracts = MineRelational(d, BuildIndexes(d), SmallOptions());
+  const Contract* c = FindIdentity(contracts, d, RelationKind::kEquals, "left", "right");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->score, 256 * 3.0);
+  EXPECT_EQ(c->confidence, 1.0);
+}
+
+TEST(RelationalDiversity, NestedContainersCountAnAddressOnceWithTheFirstScore) {
+  // Each address sits in a /8 and a /16 of the same exists node. The trie reports
+  // the /8 first, so each config adds PrefixScore(8) = 1.0 once, not 1.0 + 2.0.
+  std::vector<std::string> texts;
+  for (int i = 0; i < 5; ++i) {
+    texts.push_back("host 10.20." + std::to_string(i + 1) + ".7\nnet 10.0.0.0/8\n" +
+                    "net 10.20.0.0/16\n");
+  }
+  Dataset d = BuildDataset(texts);
+  auto contracts = MineRelational(d, BuildIndexes(d), SmallOptions());
+  const Contract* c = FindIdentity(contracts, d, RelationKind::kContains, "host", "net");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->score, 5 * PrefixScore(8, /*is_v6=*/false));
+  EXPECT_EQ(c->confidence, 1.0);
+}
+
+TEST(RelationalDiversity, RepeatedPrefixOfMarksOnOneLineCountOnce) {
+  // Both longer values extend the one `short` line, which is marked twice per
+  // config. It is still one line of one: the contract holds everywhere.
+  std::vector<std::string> texts;
+  for (int i = 0; i < 5; ++i) {
+    std::string v = std::to_string(4000 + i * 37);
+    texts.push_back("short " + v + "\nlong " + v + "17\nlong " + v + "88\n");
+  }
+  Dataset d = BuildDataset(texts);
+  auto contracts = MineRelational(d, BuildIndexes(d), SmallOptions());
+  const Contract* c = FindIdentity(contracts, d, RelationKind::kPrefixOf, "short", "long");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->confidence, 1.0);
+  EXPECT_EQ(c->score, 5 * 3.0);
 }
 
 TEST(MineRelational, StatsReportCandidates) {

@@ -88,6 +88,23 @@ TEST_F(StoreTest, DamagedObjectCountsAsCorruptAndDegrades) {
   EXPECT_EQ(counters["config"].misses, 0u);  // Damage is counted once, as corrupt.
 }
 
+TEST_F(StoreTest, PutRewritesAnObjectThatNoLongerReadsBack) {
+  DurableStore store(Dir());
+  uint64_t key = ContentKey("contracts", "payload");
+  ASSERT_TRUE(store.PutObject(RecordType::kContracts, key, "payload", "contracts"));
+  uint64_t bytes = store.total_bytes();
+  Damage(Dir() + "/" + DurableStore::ObjectRelPath(key));
+  ASSERT_EQ(store.GetObject(RecordType::kContracts, key, "contracts"), std::nullopt);
+
+  // Same key, same bytes: the damaged file is replaced, not trusted.
+  EXPECT_TRUE(store.PutObject(RecordType::kContracts, key, "payload", "contracts"));
+  EXPECT_EQ(store.GetObject(RecordType::kContracts, key, "contracts"), "payload");
+  EXPECT_EQ(store.object_count(), 1u);
+  EXPECT_EQ(store.total_bytes(), bytes);
+  // Healed: the next put of the same bytes writes nothing again.
+  EXPECT_FALSE(store.PutObject(RecordType::kContracts, key, "payload", "contracts"));
+}
+
 TEST_F(StoreTest, ManifestRoundTripsAcrossReopen) {
   PersistedDatasetInfo info;
   info.config_keys["dev1.cfg"] = 0xdeadbeefcafef00dull;
