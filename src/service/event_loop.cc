@@ -117,7 +117,7 @@ class EventLoop {
   EventLoop(Service& service, const SocketServerOptions& options,
             int signal_fd, std::ostream& err)
       : service_(service),
-        registry_(service.metrics().registry()),
+        registry_(service.metrics()),
         options_(options),
         signal_fd_(signal_fd),
         err_(err),

@@ -76,48 +76,77 @@ void LatencyHistogram::AppendPrometheus(std::string* out, std::string_view name,
   out->append(" " + std::to_string(count) + "\n");
 }
 
-std::string MetricsRegistry::EscapeLabelValue(std::string_view value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
+namespace {
 
-std::string MetricsRegistry::RenderLabels(const Labels& labels) {
-  std::string out;
+// Renders `labels` as `k1="v1",k2="v2"`, escaping values per the exposition
+// format (backslash, quote, newline), into a per-thread buffer so probing an
+// existing cell allocates nothing. The result is valid until the calling
+// thread's next call.
+const std::string& RenderLabels(const MetricsRegistry::Labels& labels) {
+  thread_local std::string out;
+  out.clear();
   for (const auto& [key, value] : labels) {
     if (!out.empty()) {
       out += ',';
     }
-    out += key + "=\"" + EscapeLabelValue(value) + "\"";
+    out += key;
+    out += "=\"";
+    for (char c : value) {
+      switch (c) {
+        case '\\': out += "\\\\"; break;
+        case '"': out += "\\\""; break;
+        case '\n': out += "\\n"; break;
+        default: out += c;
+      }
+    }
+    out += '"';
   }
   return out;
 }
 
+std::string FormatGauge(double value) {
+  // Integral gauges render without a fractional part so expositions stay tidy.
+  if (value == static_cast<double>(static_cast<int64_t>(value))) {
+    return std::to_string(static_cast<int64_t>(value));
+  }
+  std::ostringstream out;
+  out << value;
+  return out.str();
+}
+
+}  // namespace
+
 MetricsRegistry::Cell& MetricsRegistry::CellFor(std::string_view name,
                                                 std::string_view help, Kind kind,
                                                 const Labels& labels) {
-  auto it = families_.find(name);
-  if (it == families_.end()) {
-    Family family;
-    family.kind = kind;
-    family.help = std::string(help);
-    it = families_.emplace(std::string(name), std::move(family)).first;
+  auto family = families_.find(name);
+  if (family == families_.end()) {
+    Family created;
+    created.kind = kind;
+    created.help = std::string(help);
+    family = families_.emplace(std::string(name), std::move(created)).first;
   }
-  return it->second.cells[RenderLabels(labels)];
+  auto& cells = family->second.cells;
+  const std::string& key = RenderLabels(labels);
+  auto cell = cells.find(key);
+  if (cell == cells.end()) {
+    Cell created;
+    created.labels = labels;
+    cell = cells.emplace(key, std::move(created)).first;
+  }
+  return cell->second;
 }
 
 void MetricsRegistry::Count(std::string_view name, std::string_view help,
                             const Labels& labels, uint64_t delta) {
   MutexLock lock(mu_);
   CellFor(name, help, Kind::kCounter, labels).counter += delta;
+}
+
+void MetricsRegistry::SetCounter(std::string_view name, std::string_view help,
+                                 const Labels& labels, uint64_t value) {
+  MutexLock lock(mu_);
+  CellFor(name, help, Kind::kCounter, labels).counter = value;
 }
 
 void MetricsRegistry::SetGauge(std::string_view name, std::string_view help,
@@ -135,27 +164,25 @@ void MetricsRegistry::ObserveMicros(std::string_view name, std::string_view help
 uint64_t MetricsRegistry::CounterValue(std::string_view name,
                                        const Labels& labels) const {
   MutexLock lock(mu_);
-  auto it = families_.find(name);
-  if (it == families_.end()) {
+  auto family = families_.find(name);
+  if (family == families_.end()) {
     return 0;
   }
-  auto cell = it->second.cells.find(RenderLabels(labels));
-  return cell == it->second.cells.end() ? 0 : cell->second.counter;
+  auto cell = family->second.cells.find(RenderLabels(labels));
+  return cell == family->second.cells.end() ? 0 : cell->second.counter;
 }
 
-namespace {
-
-std::string FormatGauge(double value) {
-  // Integral gauges render without a fractional part so expositions stay tidy.
-  if (value == static_cast<double>(static_cast<int64_t>(value))) {
-    return std::to_string(static_cast<int64_t>(value));
+void MetricsRegistry::VisitFamily(
+    std::string_view name, const std::function<void(const Cell&)>& visit) const {
+  MutexLock lock(mu_);
+  auto family = families_.find(name);
+  if (family == families_.end()) {
+    return;
   }
-  std::ostringstream out;
-  out << value;
-  return out.str();
+  for (const auto& [labels, cell] : family->second.cells) {
+    visit(cell);
+  }
 }
-
-}  // namespace
 
 std::string MetricsRegistry::PrometheusText() const {
   MutexLock lock(mu_);
@@ -189,154 +216,150 @@ std::string MetricsRegistry::PrometheusText() const {
   return out;
 }
 
-void Metrics::RecordRequest(std::string_view verb, bool ok, uint64_t micros) {
-  MutexLock lock(mu_);
-  auto it = verbs_.find(verb);
-  if (it == verbs_.end()) {
-    it = verbs_.emplace(std::string(verb), VerbStats{}).first;
-  }
-  ++it->second.count;
-  if (!ok) {
-    ++it->second.errors;
-  }
-  it->second.latency.Record(micros);
-}
+namespace {
 
-void Metrics::RecordCacheProbe(uint64_t hits, uint64_t misses) {
-  MutexLock lock(mu_);
-  cache_hits_ += hits;
-  cache_misses_ += misses;
-}
+constexpr std::string_view kRequests = "concord_requests_total";
+constexpr std::string_view kRequestsHelp = "Requests handled, by verb and outcome.";
+constexpr std::string_view kLatency = "concord_request_latency_micros";
+constexpr std::string_view kLatencyHelp =
+    "Request wall time in microseconds, by verb.";
+constexpr std::string_view kCacheProbes = "concord_config_cache_probes_total";
+constexpr std::string_view kCacheProbesHelp = "Parsed-config cache probes, by result.";
+constexpr std::string_view kConfigs = "concord_check_configs_total";
+constexpr std::string_view kConfigsHelp = "Configs checked.";
+constexpr std::string_view kEvaluated = "concord_check_contracts_evaluated_total";
+constexpr std::string_view kEvaluatedHelp = "Contract evaluations performed.";
+constexpr std::string_view kViolations = "concord_check_violations_total";
+constexpr std::string_view kViolationsHelp = "Contract violations found.";
 
-void Metrics::RecordCheckWork(uint64_t configs, uint64_t contracts_evaluated,
-                              uint64_t violations) {
-  MutexLock lock(mu_);
-  configs_checked_ += configs;
-  contracts_evaluated_ += contracts_evaluated;
-  violations_found_ += violations;
-}
-
-JsonValue Metrics::Snapshot() const {
-  MutexLock lock(mu_);
-  JsonValue out = JsonValue::Object();
-  uint64_t total = 0;
+struct VerbTotals {
+  uint64_t count = 0;
   uint64_t errors = 0;
-  JsonValue verbs = JsonValue::Object();
-  for (const auto& [verb, stats] : verbs_) {
-    total += stats.count;
-    errors += stats.errors;
-    JsonValue v = JsonValue::Object();
-    v.Set("count", JsonValue::Number(static_cast<int64_t>(stats.count)));
-    v.Set("errors", JsonValue::Number(static_cast<int64_t>(stats.errors)));
-    v.Set("latency", stats.latency.ToJson());
-    verbs.Set(verb, std::move(v));
+  LatencyHistogram latency;
+};
+
+// What the `stats` JSON and the shutdown summary report, read from the cells
+// the Record* functions below write.
+struct ServeTotals {
+  std::map<std::string, VerbTotals> verbs;  // In verb order.
+  uint64_t requests = 0;
+  uint64_t errors = 0;
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
+  uint64_t configs = 0;
+  uint64_t contracts_evaluated = 0;
+  uint64_t violations = 0;
+};
+
+ServeTotals ReadServeTotals(const MetricsRegistry& registry) {
+  ServeTotals totals;
+  // Request cells carry {verb, status} labels, latency cells {verb}.
+  registry.VisitFamily(kRequests, [&totals](const MetricsRegistry::Cell& cell) {
+    VerbTotals& verb = totals.verbs[cell.labels[0].second];
+    verb.count += cell.counter;
+    if (cell.labels[1].second == "error") {
+      verb.errors += cell.counter;
+    }
+  });
+  registry.VisitFamily(kLatency, [&totals](const MetricsRegistry::Cell& cell) {
+    totals.verbs[cell.labels[0].second].latency = cell.histogram;
+  });
+  for (const auto& [name, verb] : totals.verbs) {
+    totals.requests += verb.count;
+    totals.errors += verb.errors;
   }
-  out.Set("requests", JsonValue::Number(static_cast<int64_t>(total)));
-  out.Set("errors", JsonValue::Number(static_cast<int64_t>(errors)));
+  totals.cache_hits = registry.CounterValue(kCacheProbes, {{"result", "hit"}});
+  totals.cache_misses = registry.CounterValue(kCacheProbes, {{"result", "miss"}});
+  totals.configs = registry.CounterValue(kConfigs, {});
+  totals.contracts_evaluated = registry.CounterValue(kEvaluated, {});
+  totals.violations = registry.CounterValue(kViolations, {});
+  return totals;
+}
+
+JsonValue Number(uint64_t n) { return JsonValue::Number(static_cast<int64_t>(n)); }
+
+}  // namespace
+
+void RecordServeRequest(MetricsRegistry& registry, std::string_view verb, bool ok,
+                        uint64_t micros) {
+  // Both outcome cells exist for every verb seen, so each verb always exposes
+  // an ok and an error row.
+  MetricsRegistry::Labels labels = {{"verb", std::string(verb)}, {"status", "ok"}};
+  registry.Count(kRequests, kRequestsHelp, labels, ok ? 1 : 0);
+  labels[1].second = "error";
+  registry.Count(kRequests, kRequestsHelp, labels, ok ? 0 : 1);
+  labels.pop_back();
+  registry.ObserveMicros(kLatency, kLatencyHelp, labels, micros);
+}
+
+void RecordCacheProbe(MetricsRegistry& registry, uint64_t hits, uint64_t misses) {
+  registry.Count(kCacheProbes, kCacheProbesHelp, {{"result", "hit"}}, hits);
+  registry.Count(kCacheProbes, kCacheProbesHelp, {{"result", "miss"}}, misses);
+}
+
+void RecordCheckWork(MetricsRegistry& registry, uint64_t configs,
+                     uint64_t contracts_evaluated, uint64_t violations) {
+  registry.Count(kConfigs, kConfigsHelp, {}, configs);
+  registry.Count(kEvaluated, kEvaluatedHelp, {}, contracts_evaluated);
+  registry.Count(kViolations, kViolationsHelp, {}, violations);
+}
+
+JsonValue ServeStatsJson(const MetricsRegistry& registry) {
+  ServeTotals totals = ReadServeTotals(registry);
+  JsonValue verbs = JsonValue::Object();
+  for (const auto& [name, verb] : totals.verbs) {
+    JsonValue v = JsonValue::Object();
+    v.Set("count", Number(verb.count));
+    v.Set("errors", Number(verb.errors));
+    v.Set("latency", verb.latency.ToJson());
+    verbs.Set(name, std::move(v));
+  }
+  JsonValue out = JsonValue::Object();
+  out.Set("requests", Number(totals.requests));
+  out.Set("errors", Number(totals.errors));
   out.Set("verbs", std::move(verbs));
 
   JsonValue cache = JsonValue::Object();
-  cache.Set("hits", JsonValue::Number(static_cast<int64_t>(cache_hits_)));
-  cache.Set("misses", JsonValue::Number(static_cast<int64_t>(cache_misses_)));
-  uint64_t probes = cache_hits_ + cache_misses_;
-  cache.Set("hit_rate", JsonValue::Number(probes == 0 ? 0.0
-                                                      : static_cast<double>(cache_hits_) /
-                                                            static_cast<double>(probes)));
+  cache.Set("hits", Number(totals.cache_hits));
+  cache.Set("misses", Number(totals.cache_misses));
+  uint64_t probes = totals.cache_hits + totals.cache_misses;
+  cache.Set("hit_rate",
+            JsonValue::Number(probes == 0 ? 0.0
+                                          : static_cast<double>(totals.cache_hits) /
+                                                static_cast<double>(probes)));
   out.Set("cache", std::move(cache));
 
   JsonValue work = JsonValue::Object();
-  work.Set("configs_checked", JsonValue::Number(static_cast<int64_t>(configs_checked_)));
-  work.Set("contracts_evaluated",
-           JsonValue::Number(static_cast<int64_t>(contracts_evaluated_)));
-  work.Set("violations_found",
-           JsonValue::Number(static_cast<int64_t>(violations_found_)));
+  work.Set("configs_checked", Number(totals.configs));
+  work.Set("contracts_evaluated", Number(totals.contracts_evaluated));
+  work.Set("violations_found", Number(totals.violations));
   out.Set("work", std::move(work));
   return out;
 }
 
-std::string Metrics::SummaryText() const {
-  MutexLock lock(mu_);
-  uint64_t total = 0;
-  uint64_t errors = 0;
-  for (const auto& [verb, stats] : verbs_) {
-    total += stats.count;
-    errors += stats.errors;
-  }
+std::string ServeSummaryText(const MetricsRegistry& registry) {
+  ServeTotals totals = ReadServeTotals(registry);
   std::ostringstream out;
   out << "concord serve summary\n";
-  out << "  requests: " << total << " (" << errors << " errors)\n";
-  for (const auto& [verb, stats] : verbs_) {
-    out << "    " << verb << ": " << stats.count;
-    if (stats.latency.count > 0) {
-      out << " (mean "
-          << stats.latency.sum_micros / stats.latency.count << "us, max "
-          << stats.latency.max_micros << "us)";
+  out << "  requests: " << totals.requests << " (" << totals.errors << " errors)\n";
+  for (const auto& [name, verb] : totals.verbs) {
+    out << "    " << name << ": " << verb.count;
+    if (verb.latency.count > 0) {
+      out << " (mean " << verb.latency.sum_micros / verb.latency.count << "us, max "
+          << verb.latency.max_micros << "us)";
     }
     out << "\n";
   }
-  uint64_t probes = cache_hits_ + cache_misses_;
-  out << "  config cache: " << cache_hits_ << " hits / " << cache_misses_
+  uint64_t probes = totals.cache_hits + totals.cache_misses;
+  out << "  config cache: " << totals.cache_hits << " hits / " << totals.cache_misses
       << " misses";
   if (probes > 0) {
-    out << " (" << (100 * cache_hits_) / probes << "% hit rate)";
+    out << " (" << (100 * totals.cache_hits) / probes << "% hit rate)";
   }
   out << "\n";
-  out << "  checked: " << configs_checked_ << " configs, " << contracts_evaluated_
-      << " contracts evaluated, " << violations_found_ << " violations\n";
+  out << "  checked: " << totals.configs << " configs, " << totals.contracts_evaluated
+      << " contracts evaluated, " << totals.violations << " violations\n";
   return out.str();
-}
-
-std::string Metrics::PrometheusText() const {
-  std::string out;
-  {
-    MutexLock lock(mu_);
-    out +=
-        "# HELP concord_requests_total Requests handled, by verb and outcome.\n"
-        "# TYPE concord_requests_total counter\n";
-    for (const auto& [verb, stats] : verbs_) {
-      out += "concord_requests_total{verb=\"" +
-             MetricsRegistry::EscapeLabelValue(verb) + "\",status=\"ok\"} " +
-             std::to_string(stats.count - stats.errors) + "\n";
-      out += "concord_requests_total{verb=\"" +
-             MetricsRegistry::EscapeLabelValue(verb) + "\",status=\"error\"} " +
-             std::to_string(stats.errors) + "\n";
-    }
-    out +=
-        "# HELP concord_request_latency_micros Request wall time in "
-        "microseconds, by verb.\n"
-        "# TYPE concord_request_latency_micros histogram\n";
-    for (const auto& [verb, stats] : verbs_) {
-      stats.latency.AppendPrometheus(
-          &out, "concord_request_latency_micros",
-          "verb=\"" + MetricsRegistry::EscapeLabelValue(verb) + "\"");
-    }
-    out +=
-        "# HELP concord_config_cache_probes_total Parsed-config cache probes, "
-        "by result.\n"
-        "# TYPE concord_config_cache_probes_total counter\n";
-    out += "concord_config_cache_probes_total{result=\"hit\"} " +
-           std::to_string(cache_hits_) + "\n";
-    out += "concord_config_cache_probes_total{result=\"miss\"} " +
-           std::to_string(cache_misses_) + "\n";
-    out +=
-        "# HELP concord_check_configs_total Configs checked.\n"
-        "# TYPE concord_check_configs_total counter\n"
-        "concord_check_configs_total " +
-        std::to_string(configs_checked_) + "\n";
-    out +=
-        "# HELP concord_check_contracts_evaluated_total Contract evaluations "
-        "performed.\n"
-        "# TYPE concord_check_contracts_evaluated_total counter\n"
-        "concord_check_contracts_evaluated_total " +
-        std::to_string(contracts_evaluated_) + "\n";
-    out +=
-        "# HELP concord_check_violations_total Contract violations found.\n"
-        "# TYPE concord_check_violations_total counter\n"
-        "concord_check_violations_total " +
-        std::to_string(violations_found_) + "\n";
-  }
-  out += registry_.PrometheusText();
-  return out;
 }
 
 }  // namespace concord

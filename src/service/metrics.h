@@ -1,24 +1,26 @@
-// Metrics for `concord serve`: service-level counters plus a general registry.
+// Metrics for `concord serve`: one registry of named metric families.
 //
-// Two layers:
+// MetricsRegistry stores counters, gauges and log2 latency histograms, each
+// cell addressed by an ordered label list (e.g. {verb="check"}). Everything the
+// service measures lands in its one registry:
 //
-//   MetricsRegistry — a general-purpose store of named metric families
-//     (counters, gauges, log2 latency histograms), each cell addressed by an
-//     ordered label list (e.g. {verb="check"}). Rendered as Prometheus text
-//     exposition; family and label order are deterministic so the output is
-//     golden-testable.
+//   - the request path records the request, config-cache and check-work
+//     families (RecordServeRequest, RecordCacheProbe, RecordCheckWork);
+//   - the socket frontend records its connection and admission families;
+//   - a scrape writes the contract-set, resident-dataset and store gauges, and
+//     mirrors the counters other layers own (trace stage totals, durable-store
+//     reads) with SetCounter.
 //
-//   Metrics — the service's built-in instrumentation (per-verb request counts
-//     and latency histograms, parsed-config cache hit/miss totals, aggregate
-//     checking work). Surfaced three ways: JSON through the `stats` verb
-//     (Snapshot), a human-readable shutdown summary (SummaryText), and
-//     Prometheus exposition through the `metrics` verb (PrometheusText, which
-//     also renders anything recorded in the embedded registry()).
+// Three views read the same cells: the `metrics` verb's Prometheus exposition
+// (PrometheusText), the `stats` verb's JSON (ServeStatsJson) and the shutdown
+// summary (ServeSummaryText). Family and label order are deterministic, so all
+// three are golden-testable.
 #ifndef SRC_SERVICE_METRICS_H_
 #define SRC_SERVICE_METRICS_H_
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -57,37 +59,47 @@ class MetricsRegistry {
  public:
   using Labels = std::vector<std::pair<std::string, std::string>>;
 
+  // One labeled cell. Only the member matching the family's type is used.
+  struct Cell {
+    Labels labels;
+    uint64_t counter = 0;
+    double gauge = 0;
+    LatencyHistogram histogram;
+  };
+
   void Count(std::string_view name, std::string_view help, const Labels& labels,
              uint64_t delta = 1);
+  // Sets a counter to an absolute value: for counters another layer owns,
+  // mirrored into the registry at scrape time.
+  void SetCounter(std::string_view name, std::string_view help,
+                  const Labels& labels, uint64_t value);
   void SetGauge(std::string_view name, std::string_view help, const Labels& labels,
                 double value);
   void ObserveMicros(std::string_view name, std::string_view help,
                      const Labels& labels, uint64_t micros);
 
-  // Current counter value (0 when the cell does not exist); for tests.
+  // Current counter value (0 when the cell does not exist).
   uint64_t CounterValue(std::string_view name, const Labels& labels) const;
 
-  // Prometheus text exposition: families in name order, one # HELP/# TYPE pair
-  // each, cells in label order.
-  std::string PrometheusText() const;
+  // Calls `visit` on every cell of family `name` (none when it does not exist),
+  // in label order. Runs under the registry lock: `visit` must not call back
+  // into the registry.
+  void VisitFamily(std::string_view name,
+                   const std::function<void(const Cell&)>& visit) const;
 
-  // Escapes a label value per the exposition format (backslash, quote, newline).
-  static std::string EscapeLabelValue(std::string_view value);
+  // Prometheus text exposition: families in name order, one # HELP/# TYPE pair
+  // each, cells in label order. Label values are escaped per the exposition
+  // format (backslash, quote, newline).
+  std::string PrometheusText() const;
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };
-  struct Cell {
-    uint64_t counter = 0;
-    double gauge = 0;
-    LatencyHistogram histogram;
-  };
   struct Family {
     Kind kind = Kind::kCounter;
     std::string help;
-    std::map<std::string, Cell> cells;  // Keyed by rendered label list.
+    std::map<std::string, Cell, std::less<>> cells;  // Keyed by rendered label list.
   };
 
-  static std::string RenderLabels(const Labels& labels);
   Cell& CellFor(std::string_view name, std::string_view help, Kind kind,
                 const Labels& labels) CONCORD_REQUIRES(mu_);
 
@@ -95,51 +107,20 @@ class MetricsRegistry {
   std::map<std::string, Family, std::less<>> families_ CONCORD_GUARDED_BY(mu_);
 };
 
-class Metrics {
- public:
-  // One finished request: its verb, whether it produced an ok response, wall time.
-  void RecordRequest(std::string_view verb, bool ok, uint64_t micros);
+// The serve request families. `verb` becomes a label value, so it must come
+// from a closed set (the service passes a known verb, "unknown" or "invalid").
+void RecordServeRequest(MetricsRegistry& registry, std::string_view verb, bool ok,
+                        uint64_t micros);
+// Outcome of probing the parsed-config cache for one batch.
+void RecordCacheProbe(MetricsRegistry& registry, uint64_t hits, uint64_t misses);
+// Aggregate work done by one check/coverage request.
+void RecordCheckWork(MetricsRegistry& registry, uint64_t configs,
+                     uint64_t contracts_evaluated, uint64_t violations);
 
-  // Outcome of probing the parsed-config cache for one batch.
-  void RecordCacheProbe(uint64_t hits, uint64_t misses);
-
-  // Aggregate work done by one check/coverage request.
-  void RecordCheckWork(uint64_t configs, uint64_t contracts_evaluated,
-                       uint64_t violations);
-
-  // Point-in-time snapshot of every counter.
-  JsonValue Snapshot() const;
-
-  // Terse multi-line shutdown summary.
-  std::string SummaryText() const;
-
-  // Prometheus text exposition of the built-in families
-  // (concord_requests_total, concord_request_latency_micros,
-  // concord_config_cache_probes_total, concord_check_* counters) followed by
-  // whatever was recorded in registry().
-  std::string PrometheusText() const;
-
-  // Escape hatch for additional instrumentation outside the built-ins.
-  MetricsRegistry& registry() { return registry_; }
-  const MetricsRegistry& registry() const { return registry_; }
-
- private:
-  struct VerbStats {
-    uint64_t count = 0;
-    uint64_t errors = 0;
-    LatencyHistogram latency;
-  };
-
-  mutable Mutex mu_;
-  // Ordered for stable JSON.
-  std::map<std::string, VerbStats, std::less<>> verbs_ CONCORD_GUARDED_BY(mu_);
-  uint64_t cache_hits_ CONCORD_GUARDED_BY(mu_) = 0;
-  uint64_t cache_misses_ CONCORD_GUARDED_BY(mu_) = 0;
-  uint64_t configs_checked_ CONCORD_GUARDED_BY(mu_) = 0;
-  uint64_t contracts_evaluated_ CONCORD_GUARDED_BY(mu_) = 0;
-  uint64_t violations_found_ CONCORD_GUARDED_BY(mu_) = 0;
-  MetricsRegistry registry_;  // Internally synchronized.
-};
+// The `stats` JSON ({requests, errors, verbs, cache, work}) and the terse
+// shutdown summary, both read from the families recorded above.
+JsonValue ServeStatsJson(const MetricsRegistry& registry);
+std::string ServeSummaryText(const MetricsRegistry& registry);
 
 }  // namespace concord
 

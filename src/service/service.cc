@@ -1,5 +1,6 @@
 #include "src/service/service.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <istream>
@@ -7,7 +8,9 @@
 #include <memory>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "src/analyze/analyzer.h"
 #include "src/check/checker.h"
@@ -39,39 +42,84 @@ struct ServiceError : std::runtime_error {
 
 int64_t ToInt64(size_t n) { return static_cast<int64_t>(n); }
 
-// Per-verb request-field allowlists: under the v1 envelope an unrecognized
-// member is an unknown_field error rather than being silently ignored, so typos
-// ("metdata") fail loudly. "v" and "id" are envelope members, valid everywhere.
-bool VerbAllowsField(const std::string& verb, const std::string& field) {
-  if (field == "v" || field == "id" || field == "verb") {
-    return true;
+// The closed verb set, each verb with its request-field allowlist. Under the
+// v1 envelope an unrecognized member is an unknown_field error rather than
+// being silently ignored, so typos ("metdata") fail loudly. Dispatch, the
+// missing/unknown-verb messages and the metrics verb label all read this table.
+struct VerbSpec {
+  std::string_view name;
+  // Beyond the envelope members "v", "id" and "verb", valid for every verb.
+  std::vector<std::string_view> fields;
+
+  bool Allows(std::string_view field) const {
+    return field == "v" || field == "id" || field == "verb" ||
+           std::find(fields.begin(), fields.end(), field) != fields.end();
   }
-  if (verb == "check" || verb == "coverage") {
-    return field == "contracts" || field == "configs" || field == "metadata" ||
-           field == "deadline_ms" || field == "coverage";
+};
+
+const std::vector<VerbSpec>& Verbs() {
+  static const std::vector<VerbSpec> verbs = {
+      {"check", {"contracts", "configs", "metadata", "deadline_ms", "coverage"}},
+      // Sub-request fields (configs, deadline_ms, coverage) live inside the
+      // "requests" entries and are validated per slot by the check dispatch.
+      {"check_batch", {"contracts", "metadata", "requests"}},
+      {"coverage", {"contracts", "configs", "metadata", "deadline_ms", "coverage"}},
+      {"analyze", {"contracts", "dataset", "deadline_ms"}},
+      {"reload", {"contracts", "name", "path"}},
+      {"learn", {"dataset", "configs", "metadata", "options", "deadline_ms"}},
+      {"update",
+       {"dataset", "configs", "upsert", "remove", "metadata", "options", "deadline_ms"}},
+      {"stats", {}},
+      {"metrics", {}},
+      {"shutdown", {}},
+  };
+  return verbs;
+}
+
+const VerbSpec* FindVerb(std::string_view verb) {
+  for (const VerbSpec& spec : Verbs()) {
+    if (spec.name == verb) {
+      return &spec;
+    }
   }
-  if (verb == "check_batch") {
-    // Sub-request fields (configs, deadline_ms, coverage) live inside the
-    // "requests" entries and are validated per slot by the check dispatch.
-    return field == "contracts" || field == "metadata" || field == "requests";
+  return nullptr;
+}
+
+// "(expected check|check_batch|...)", the tail of both verb error messages.
+std::string ExpectedVerbs() {
+  std::string out = "(expected ";
+  for (const VerbSpec& spec : Verbs()) {
+    out += spec.name;
+    out += '|';
   }
-  if (verb == "analyze") {
-    return field == "contracts" || field == "dataset" || field == "deadline_ms";
+  out.back() = ')';
+  return out;
+}
+
+// Resolves the request's "contracts" member to a loaded set; the name is
+// optional when exactly one set is loaded.
+std::shared_ptr<LoadedContractSet> ResolveContractSet(const ContractStore& store,
+                                                      const JsonValue& request) {
+  std::string name;
+  if (auto n = request.GetString("contracts")) {
+    name = *n;
+  } else {
+    auto all = store.All();
+    if (all.size() != 1) {
+      throw ServiceError(ErrorCode::kMissingField,
+                         "'contracts' is required when " + std::to_string(all.size()) +
+                             " contract sets are loaded",
+                         "contracts");
+    }
+    name = all[0]->name;
   }
-  if (verb == "reload") {
-    return field == "contracts" || field == "name" || field == "path";
+  std::shared_ptr<LoadedContractSet> entry = store.Get(name);
+  if (entry == nullptr) {
+    throw ServiceError(ErrorCode::kUnknownContractSet,
+                       "unknown contract set '" + name + "' (reload it with a path)",
+                       name);
   }
-  if (verb == "learn") {
-    return field == "dataset" || field == "configs" || field == "metadata" ||
-           field == "options" || field == "deadline_ms";
-  }
-  if (verb == "update") {
-    return field == "dataset" || field == "configs" || field == "upsert" ||
-           field == "remove" || field == "metadata" || field == "options" ||
-           field == "deadline_ms";
-  }
-  // stats / metrics / shutdown take no verb-specific fields.
-  return false;
+  return entry;
 }
 
 JsonValue ErrorEnvelope(ErrorCode code, const std::string& message,
@@ -95,6 +143,10 @@ Service::Service(ServiceOptions options)
   // concord_stage_* counters for as long as the service lives. Ring-buffer
   // event collection stays off unless something else (--profile) enables it.
   TraceCollector::Global().EnableStats();
+  // Zero-valued cells, so the cache and check-work families are exposed from
+  // the first scrape on.
+  RecordCacheProbe(metrics_, 0, 0);
+  RecordCheckWork(metrics_, 0, 0, 0);
   if (!options_.store_dir.empty()) {
     durable_ = std::make_unique<DurableStore>(options_.store_dir);
     WarmRestart();
@@ -136,7 +188,10 @@ bool Service::LoadLexerDefinitions(const std::string& text, std::string* error) 
 
 std::string Service::HandleLine(const std::string& line) {
   Stopwatch watch;
-  std::string verb = "invalid";
+  // The metrics label: a table verb, "unknown" for any other verb, or
+  // "invalid" when the request fails before its verb is read. Never the
+  // client's string, which would grow the registry without bound.
+  std::string_view verb_label = "invalid";
   JsonValue id;
   bool has_id = false;
   JsonValue body;
@@ -188,14 +243,12 @@ std::string Service::HandleLine(const std::string& line) {
     }
     auto v = request->GetString("verb");
     if (!v) {
-      throw ServiceError(
-          ErrorCode::kMissingField,
-          "missing 'verb' (expected check|check_batch|coverage|analyze|reload|"
-          "learn|update|stats|metrics|shutdown)",
-          "verb");
+      throw ServiceError(ErrorCode::kMissingField,
+                         "missing 'verb' " + ExpectedVerbs(), "verb");
     }
-    verb = *v;
-    response = ResponseFor(verb, *request, &ok);
+    const VerbSpec* spec = FindVerb(*v);
+    verb_label = spec != nullptr ? spec->name : "unknown";
+    response = ResponseFor(*v, *request, &ok);
   } catch (const DeadlineExceeded&) {
     // Structured so clients can retry with a larger budget without string-matching.
     error_code = ErrorCode::kDeadlineExceeded;
@@ -213,8 +266,8 @@ std::string Service::HandleLine(const std::string& line) {
     response = AssembleResponse(/*ok=*/false, has_id, std::move(id), error_code,
                                 error_message, error_detail, std::move(body));
   }
-  metrics_.RecordRequest(verb, ok,
-                         static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
+  RecordServeRequest(metrics_, verb_label, ok,
+                     static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
   TraceSpan span("serve", "serialize");
   return response->Serialize(0);
 }
@@ -273,17 +326,16 @@ JsonValue Service::ResponseFor(const std::string& verb, const JsonValue& request
 }
 
 JsonValue Service::Dispatch(const std::string& verb, const JsonValue& request) {
-  bool known = verb == "check" || verb == "check_batch" || verb == "coverage" ||
-               verb == "analyze" || verb == "reload" || verb == "learn" ||
-               verb == "update" || verb == "stats" || verb == "metrics" ||
-               verb == "shutdown";
-  if (known) {
-    for (const auto& [field, value] : request.members()) {
-      if (!VerbAllowsField(verb, field)) {
-        throw ServiceError(ErrorCode::kUnknownField,
-                           "unknown field '" + field + "' for verb '" + verb + "'",
-                           field);
-      }
+  const VerbSpec* spec = FindVerb(verb);
+  if (spec == nullptr) {
+    throw ServiceError(ErrorCode::kUnknownVerb,
+                       "unknown verb '" + verb + "' " + ExpectedVerbs(), verb);
+  }
+  for (const auto& [field, value] : request.members()) {
+    if (!spec->Allows(field)) {
+      throw ServiceError(ErrorCode::kUnknownField,
+                         "unknown field '" + field + "' for verb '" + verb + "'",
+                         field);
     }
   }
   if (verb == "check") {
@@ -310,7 +362,7 @@ JsonValue Service::Dispatch(const std::string& verb, const JsonValue& request) {
   if (verb == "stats") {
     JsonValue body = JsonValue::Object();
     body.Set("verb", JsonValue::String("stats"));
-    body.Set("stats", metrics_.Snapshot());
+    body.Set("stats", ServeStatsJson(metrics_));
     body.Set("contract_sets", StatsJson());
     if (durable_ != nullptr) {
       JsonValue store = JsonValue::Object();
@@ -342,37 +394,14 @@ JsonValue Service::Dispatch(const std::string& verb, const JsonValue& request) {
     RequestShutdown();
     JsonValue body = JsonValue::Object();
     body.Set("verb", JsonValue::String("shutdown"));
-    body.Set("stats", metrics_.Snapshot());
+    body.Set("stats", ServeStatsJson(metrics_));
     return body;
   }
-  throw ServiceError(ErrorCode::kUnknownVerb,
-                     "unknown verb '" + verb +
-                         "' (expected check|check_batch|coverage|analyze|reload|"
-                         "learn|update|stats|metrics|shutdown)",
-                     verb);
+  throw ServiceError(ErrorCode::kInternal, "verb '" + verb + "' has no handler");
 }
 
 JsonValue Service::HandleCheck(const JsonValue& request, bool coverage_listing) {
-  // Resolve the target contract set; with a single loaded set the name is optional.
-  std::string name;
-  if (auto n = request.GetString("contracts")) {
-    name = *n;
-  } else {
-    auto all = store_.All();
-    if (all.size() != 1) {
-      throw ServiceError(ErrorCode::kMissingField,
-                         "'contracts' is required when " + std::to_string(all.size()) +
-                             " contract sets are loaded",
-                         "contracts");
-    }
-    name = all[0]->name;
-  }
-  std::shared_ptr<LoadedContractSet> entry = store_.Get(name);
-  if (entry == nullptr) {
-    throw ServiceError(ErrorCode::kUnknownContractSet,
-                       "unknown contract set '" + name + "' (reload it with a path)",
-                       name);
-  }
+  std::shared_ptr<LoadedContractSet> entry = ResolveContractSet(store_, request);
 
   // Optional per-request wall-clock budget; expiry raises DeadlineExceeded which
   // HandleLine turns into a structured deadline_exceeded error response.
@@ -541,13 +570,13 @@ JsonValue Service::HandleCheck(const JsonValue& request, bool coverage_listing) 
   }
   result.skipped = degraded;
 
-  metrics_.RecordCacheProbe(hits, misses);
-  metrics_.RecordCheckWork(indexes.size(), entry->set.contracts.size() * indexes.size(),
-                           result.violations.size());
+  RecordCacheProbe(metrics_, hits, misses);
+  RecordCheckWork(metrics_, indexes.size(),
+                  entry->set.contracts.size() * indexes.size(), result.violations.size());
 
   JsonValue body = JsonValue::Object();
   body.Set("verb", JsonValue::String(coverage_listing ? "coverage" : "check"));
-  body.Set("contracts", JsonValue::String(name));
+  body.Set("contracts", JsonValue::String(entry->name));
   body.Set("configs_checked", JsonValue::Number(ToInt64(indexes.size())));
   body.Set("cache_hits", JsonValue::Number(static_cast<int64_t>(hits)));
   body.Set("cache_misses", JsonValue::Number(static_cast<int64_t>(misses)));
@@ -572,26 +601,9 @@ JsonValue Service::HandleCheck(const JsonValue& request, bool coverage_listing) 
 
 JsonValue Service::HandleCheckBatch(const JsonValue& request) {
   // Resolve the target contract set once for the whole batch, with the same
-  // rules as `check` (name optional when exactly one set is loaded). Resolution
-  // failures fail the batch — there is nothing per-slot to isolate yet.
-  std::string name;
-  if (auto n = request.GetString("contracts")) {
-    name = *n;
-  } else {
-    auto all = store_.All();
-    if (all.size() != 1) {
-      throw ServiceError(ErrorCode::kMissingField,
-                         "'contracts' is required when " + std::to_string(all.size()) +
-                             " contract sets are loaded",
-                         "contracts");
-    }
-    name = all[0]->name;
-  }
-  if (store_.Get(name) == nullptr) {
-    throw ServiceError(ErrorCode::kUnknownContractSet,
-                       "unknown contract set '" + name + "' (reload it with a path)",
-                       name);
-  }
+  // rules as `check`. Resolution failures fail the batch — there is nothing
+  // per-slot to isolate yet.
+  const std::string name = ResolveContractSet(store_, request)->name;
 
   const JsonValue* requests = request.Find("requests");
   if (requests == nullptr || !requests->is_array() || requests->items().empty()) {
@@ -821,41 +833,21 @@ JsonValue Service::HandleAnalyze(const JsonValue& request) {
                                 dataset->store.indexes(), analyze_options);
     body.Set("dataset", JsonValue::String(*dataset_name));
   } else {
-    // Contract-set form, resolved like `check` (name optional when exactly one
-    // set is loaded). No configs are at hand, so the analysis runs set-only.
-    std::string name;
-    if (auto n = request.GetString("contracts")) {
-      name = *n;
-    } else {
-      auto all = store_.All();
-      if (all.size() != 1) {
-        throw ServiceError(ErrorCode::kMissingField,
-                           "'contracts' is required when " + std::to_string(all.size()) +
-                               " contract sets are loaded",
-                           "contracts");
-      }
-      name = all[0]->name;
-    }
-    std::shared_ptr<LoadedContractSet> entry = store_.Get(name);
-    if (entry == nullptr) {
-      throw ServiceError(ErrorCode::kUnknownContractSet,
-                         "unknown contract set '" + name + "' (reload it with a path)",
-                         name);
-    }
+    // Contract-set form, resolved like `check`. No configs are at hand, so the
+    // analysis runs set-only.
+    std::shared_ptr<LoadedContractSet> entry = ResolveContractSet(store_, request);
     analysis = AnalyzeContracts(entry->set, entry->table, analyze_options);
-    body.Set("contracts", JsonValue::String(name));
+    body.Set("contracts", JsonValue::String(entry->name));
   }
 
-  metrics_.registry().Count("concord_analyze_runs_total",
-                            "Contract-set analyzer runs.", {}, 1);
+  metrics_.Count("concord_analyze_runs_total", "Contract-set analyzer runs.", {}, 1);
   std::map<std::string, uint64_t> per_rule;
   for (const Finding& finding : analysis.findings) {
     ++per_rule[finding.rule];
   }
   for (const auto& [rule, count] : per_rule) {
-    metrics_.registry().Count("concord_analyze_findings_total",
-                              "Analyzer findings, by rule id.",
-                              {{"rule", rule}}, count);
+    metrics_.Count("concord_analyze_findings_total", "Analyzer findings, by rule id.",
+                   {{"rule", rule}}, count);
   }
 
   body.Set("report", AnalyzeReportJsonValue(analysis));
@@ -1191,34 +1183,18 @@ JsonValue Service::StatsJson() const {
   return sets;
 }
 
-std::string Service::PrometheusText() const {
-  // Request/cache/work families from the metrics registry, then the per-stage
-  // trace counters (learn/check/serve spans) that EnableStats has been feeding.
-  std::string out = metrics_.PrometheusText();
-  TraceCollector::Global().AppendPrometheus(&out);
+std::string Service::PrometheusText() {
   // Per-contract-set gauges: resident sizes, useful for capacity dashboards.
-  out += "# HELP concord_contract_set_contracts Contracts in each loaded set.\n";
-  out += "# TYPE concord_contract_set_contracts gauge\n";
-  auto all = store_.All();
-  for (const auto& entry : all) {
-    out += "concord_contract_set_contracts{set=\"" +
-           MetricsRegistry::EscapeLabelValue(entry->name) +
-           "\"} " + std::to_string(entry->set.contracts.size()) + "\n";
-  }
-  out += "# HELP concord_contract_set_patterns Interned patterns in each loaded set.\n";
-  out += "# TYPE concord_contract_set_patterns gauge\n";
-  for (const auto& entry : all) {
-    out += "concord_contract_set_patterns{set=\"" +
-           MetricsRegistry::EscapeLabelValue(entry->name) +
-           "\"} " + std::to_string(entry->table.size()) + "\n";
-  }
-  out += "# HELP concord_contract_set_cached_configs Parsed configs resident in "
-         "each set's cache.\n";
-  out += "# TYPE concord_contract_set_cached_configs gauge\n";
-  for (const auto& entry : all) {
-    out += "concord_contract_set_cached_configs{set=\"" +
-           MetricsRegistry::EscapeLabelValue(entry->name) +
-           "\"} " + std::to_string(entry->cache.size()) + "\n";
+  for (const auto& entry : store_.All()) {
+    MetricsRegistry::Labels set = {{"set", entry->name}};
+    metrics_.SetGauge("concord_contract_set_contracts", "Contracts in each loaded set.",
+                      set, static_cast<double>(entry->set.contracts.size()));
+    metrics_.SetGauge("concord_contract_set_patterns",
+                      "Interned patterns in each loaded set.", set,
+                      static_cast<double>(entry->table.size()));
+    metrics_.SetGauge("concord_contract_set_cached_configs",
+                      "Parsed configs resident in each set's cache.", set,
+                      static_cast<double>(entry->cache.size()));
   }
   // Dataset/store health (DESIGN.md §10). The resident gauge is always exposed;
   // the store families appear only when a durable store is attached.
@@ -1227,30 +1203,38 @@ std::string Service::PrometheusText() const {
     MutexLock lock(datasets_mu_);
     resident = datasets_.size();
   }
-  out += "# HELP concord_resident_datasets Learned datasets resident in memory.\n";
-  out += "# TYPE concord_resident_datasets gauge\n";
-  out += "concord_resident_datasets " + std::to_string(resident) + "\n";
+  metrics_.SetGauge("concord_resident_datasets", "Learned datasets resident in memory.",
+                    {}, static_cast<double>(resident));
   if (durable_ != nullptr) {
-    out += "# HELP concord_store_objects Content-addressed objects in the durable store.\n";
-    out += "# TYPE concord_store_objects gauge\n";
-    out += "concord_store_objects " + std::to_string(durable_->object_count()) + "\n";
-    out += "# HELP concord_store_bytes Bytes of framed records in the durable store.\n";
-    out += "# TYPE concord_store_bytes gauge\n";
-    out += "concord_store_bytes " + std::to_string(durable_->total_bytes()) + "\n";
-    out += "# HELP concord_store_datasets Datasets persisted in the store manifest.\n";
-    out += "# TYPE concord_store_datasets gauge\n";
-    out += "concord_store_datasets " + std::to_string(durable_->Datasets().size()) + "\n";
-    out += "# HELP concord_store_stage_total Durable-store reads by stage and outcome.\n";
-    out += "# TYPE concord_store_stage_total counter\n";
+    metrics_.SetGauge("concord_store_objects",
+                      "Content-addressed objects in the durable store.", {},
+                      static_cast<double>(durable_->object_count()));
+    metrics_.SetGauge("concord_store_bytes", "Bytes of framed records in the durable store.",
+                      {}, static_cast<double>(durable_->total_bytes()));
+    metrics_.SetGauge("concord_store_datasets", "Datasets persisted in the store manifest.",
+                      {}, static_cast<double>(durable_->Datasets().size()));
+    constexpr std::string_view kStoreStage = "concord_store_stage_total";
+    constexpr std::string_view kStoreStageHelp = "Durable-store reads by stage and outcome.";
     for (const auto& [stage, c] : durable_->Counters()) {
-      std::string prefix = "concord_store_stage_total{stage=\"" +
-                           MetricsRegistry::EscapeLabelValue(stage) + "\",outcome=";
-      out += prefix + "\"hit\"} " + std::to_string(c.hits) + "\n";
-      out += prefix + "\"miss\"} " + std::to_string(c.misses) + "\n";
-      out += prefix + "\"corrupt\"} " + std::to_string(c.corrupt) + "\n";
+      metrics_.SetCounter(kStoreStage, kStoreStageHelp,
+                          {{"stage", stage}, {"outcome", "hit"}}, c.hits);
+      metrics_.SetCounter(kStoreStage, kStoreStageHelp,
+                          {{"stage", stage}, {"outcome", "miss"}}, c.misses);
+      metrics_.SetCounter(kStoreStage, kStoreStageHelp,
+                          {{"stage", stage}, {"outcome", "corrupt"}}, c.corrupt);
     }
   }
-  return out;
+  // Per-stage trace totals (learn/check/serve spans) that EnableStats has been
+  // feeding.
+  for (const StageTotal& total : TraceCollector::Global().StageTotals()) {
+    MetricsRegistry::Labels stage = {{"category", total.category}, {"stage", total.name}};
+    metrics_.SetCounter("concord_stage_duration_micros_total",
+                        "Cumulative stage wall time in microseconds.", stage,
+                        total.total_micros);
+    metrics_.SetCounter("concord_stage_runs_total",
+                        "Number of completed stage executions.", stage, total.count);
+  }
+  return metrics_.PrometheusText();
 }
 
 int RunService(Service& service, std::istream& in, std::ostream& out,

@@ -102,16 +102,16 @@ class Service {
   void RequestShutdown() { shutdown_.store(true, std::memory_order_release); }
 
   // Human-readable metrics summary for the end of a session.
-  std::string SummaryText() const { return metrics_.SummaryText(); }
+  std::string SummaryText() const { return ServeSummaryText(metrics_); }
 
-  // Prometheus text exposition: request/cache/work families, per-stage trace
-  // counters, and per-contract-set gauges. Body of the `metrics` verb.
-  std::string PrometheusText() const;
+  // Prometheus text exposition of the service's registry, after writing the
+  // per-contract-set, dataset and store gauges and mirroring the per-stage
+  // trace and store-read counters into it. Body of the `metrics` verb.
+  std::string PrometheusText();
 
-  const Metrics& metrics() const { return metrics_; }
-  // Non-const access for the socket frontend, which records its
-  // connection/admission families into the embedded registry().
-  Metrics& metrics() { return metrics_; }
+  // The service's metrics registry; the socket frontend records its
+  // connection/admission families here.
+  MetricsRegistry& metrics() { return metrics_; }
 
   // The durable store backing this service; nullptr without --store-dir.
   DurableStore* durable_store() { return durable_.get(); }
@@ -202,10 +202,9 @@ class Service {
   ContractStore store_;
   std::unique_ptr<DurableStore> durable_;  // Null without a store_dir.
   ThreadPool pool_;
-  Metrics metrics_;
-  // Guards the map, not the datasets (see ResidentDataset); mutable so the
-  // const metrics exposition can read the resident-dataset count.
-  mutable Mutex datasets_mu_;
+  MetricsRegistry metrics_;
+  // Guards the map, not the datasets (see ResidentDataset).
+  Mutex datasets_mu_;
   std::map<std::string, std::shared_ptr<ResidentDataset>> datasets_
       CONCORD_GUARDED_BY(datasets_mu_);
   std::atomic<bool> shutdown_{false};

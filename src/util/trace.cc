@@ -39,15 +39,6 @@ void AppendJsonEscaped(std::string* out, std::string_view text) {
   }
 }
 
-void AppendPromLabel(std::string* out, std::string_view value) {
-  for (char c : value) {
-    if (c == '"' || c == '\\') {
-      *out += '\\';
-    }
-    *out += c;
-  }
-}
-
 }  // namespace
 
 void EnableAllocationCounting(bool enabled) {
@@ -242,33 +233,6 @@ std::string TraceCollector::ProfileText() const {
     out << "  (trace ring dropped " << dropped << " events)\n";
   }
   return out.str();
-}
-
-void TraceCollector::AppendPrometheus(std::string* out) const {
-  std::vector<StageTotal> totals = StageTotals();
-  if (totals.empty()) {
-    return;
-  }
-  *out +=
-      "# HELP concord_stage_duration_micros_total Cumulative stage wall time in "
-      "microseconds.\n# TYPE concord_stage_duration_micros_total counter\n";
-  for (const StageTotal& total : totals) {
-    *out += "concord_stage_duration_micros_total{category=\"";
-    AppendPromLabel(out, total.category);
-    *out += "\",stage=\"";
-    AppendPromLabel(out, total.name);
-    *out += "\"} " + std::to_string(total.total_micros) + "\n";
-  }
-  *out +=
-      "# HELP concord_stage_runs_total Number of completed stage executions.\n"
-      "# TYPE concord_stage_runs_total counter\n";
-  for (const StageTotal& total : totals) {
-    *out += "concord_stage_runs_total{category=\"";
-    AppendPromLabel(out, total.category);
-    *out += "\",stage=\"";
-    AppendPromLabel(out, total.name);
-    *out += "\"} " + std::to_string(total.count) + "\n";
-  }
 }
 
 TraceSpan::TraceSpan(std::string_view category, std::string_view name)

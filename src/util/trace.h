@@ -113,10 +113,6 @@ class TraceCollector {
   // Human-readable per-stage breakdown for `--profile`.
   std::string ProfileText() const;
 
-  // Appends the stage totals as Prometheus text exposition
-  // (concord_stage_duration_micros_total / concord_stage_runs_total).
-  void AppendPrometheus(std::string* out) const;
-
  private:
   // Dense id for the calling thread.
   uint64_t ThreadIdLocked() CONCORD_REQUIRES(mu_);

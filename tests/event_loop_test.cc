@@ -398,7 +398,7 @@ TEST_F(EventLoopTest, RateLimitedRequestsGetStructuredErrors) {
   EXPECT_EQ(second.GetBool("ok"), true);
   EXPECT_EQ(third.GetBool("ok"), false);
   EXPECT_EQ(ErrorCodeOf(third), "rate_limited");
-  EXPECT_EQ(service.metrics().registry().CounterValue(
+  EXPECT_EQ(service.metrics().CounterValue(
                 "concord_frontend_shed_total", {{"reason", "rate_limited"}}),
             1u);
 

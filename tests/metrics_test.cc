@@ -1,5 +1,6 @@
-// MetricsRegistry and the service's built-in Metrics: Prometheus exposition
-// goldens, log2 histogram bucketing, and label escaping.
+// MetricsRegistry and the serve views over it: Prometheus exposition, `stats`
+// JSON and shutdown-summary goldens, log2 histogram bucketing, and label
+// escaping.
 #include "src/service/metrics.h"
 
 #include <gtest/gtest.h>
@@ -67,11 +68,18 @@ TEST(LatencyHistogramTest, PrometheusBucketsAreCumulativeAndEndAtInf) {
   EXPECT_EQ(previous, h.count);
 }
 
-TEST(MetricsRegistryTest, EscapeLabelValue) {
-  EXPECT_EQ(MetricsRegistry::EscapeLabelValue("plain"), "plain");
-  EXPECT_EQ(MetricsRegistry::EscapeLabelValue("a\"b"), "a\\\"b");
-  EXPECT_EQ(MetricsRegistry::EscapeLabelValue("a\\b"), "a\\\\b");
-  EXPECT_EQ(MetricsRegistry::EscapeLabelValue("a\nb"), "a\\nb");
+TEST(MetricsRegistryTest, ExpositionEscapesLabelValues) {
+  MetricsRegistry registry;
+  registry.Count("esc_total", "", {{"k", "plain"}});
+  registry.Count("esc_total", "", {{"k", "a\"b"}});
+  registry.Count("esc_total", "", {{"k", "a\\b"}});
+  registry.Count("esc_total", "", {{"k", "a\nb"}});
+  EXPECT_EQ(registry.PrometheusText(),
+            "# TYPE esc_total counter\n"
+            "esc_total{k=\"a\\\"b\"} 1\n"
+            "esc_total{k=\"a\\\\b\"} 1\n"
+            "esc_total{k=\"a\\nb\"} 1\n"
+            "esc_total{k=\"plain\"} 1\n");
 }
 
 TEST(MetricsRegistryTest, ExpositionGolden) {
@@ -132,44 +140,97 @@ TEST(MetricsRegistryTest, ConcurrentCountsAreLossless) {
             static_cast<uint64_t>(kThreads) * kIncrements);
 }
 
-TEST(MetricsTest, BuiltInFamiliesAndRegistryCompose) {
-  Metrics metrics;
-  metrics.RecordRequest("check", /*ok=*/true, /*micros=*/10);
-  metrics.RecordRequest("check", /*ok=*/false, /*micros=*/20);
-  metrics.RecordRequest("stats", /*ok=*/true, /*micros=*/1);
-  metrics.RecordCacheProbe(/*hits=*/5, /*misses=*/2);
-  metrics.RecordCheckWork(/*configs=*/6, /*contracts_evaluated=*/100,
-                          /*violations=*/3);
-  metrics.registry().Count("custom_total", "Embedder counter.", {});
+// The serve views read the registry cells. These goldens are the bytes the
+// former dedicated Metrics class produced for the same records.
+TEST(ServeMetricsTest, EmptyRegistryStatsAndSummaryGoldens) {
+  MetricsRegistry registry;
+  EXPECT_EQ(ServeStatsJson(registry).Serialize(0),
+            R"({"requests":0,"errors":0,"verbs":{},"cache":{"hits":0,"misses":0,)"
+            R"("hit_rate":0},"work":{"configs_checked":0,"contracts_evaluated":0,)"
+            R"("violations_found":0}})");
+  EXPECT_EQ(ServeSummaryText(registry),
+            "concord serve summary\n"
+            "  requests: 0 (0 errors)\n"
+            "  config cache: 0 hits / 0 misses\n"
+            "  checked: 0 configs, 0 contracts evaluated, 0 violations\n");
+}
 
-  std::string out = metrics.PrometheusText();
-  EXPECT_NE(out.find("concord_requests_total{verb=\"check\",status=\"ok\"} 1"),
-            std::string::npos);
-  EXPECT_NE(out.find("concord_requests_total{verb=\"check\",status=\"error\"} 1"),
-            std::string::npos);
-  EXPECT_NE(out.find("concord_requests_total{verb=\"stats\",status=\"ok\"} 1"),
-            std::string::npos);
-  EXPECT_NE(
-      out.find("concord_request_latency_micros_count{verb=\"check\"} 2"),
-      std::string::npos);
-  EXPECT_NE(out.find("concord_config_cache_probes_total{result=\"hit\"} 5"),
-            std::string::npos);
-  EXPECT_NE(out.find("concord_config_cache_probes_total{result=\"miss\"} 2"),
-            std::string::npos);
-  EXPECT_NE(out.find("concord_check_configs_total 6"), std::string::npos);
-  EXPECT_NE(out.find("concord_check_contracts_evaluated_total 100"),
-            std::string::npos);
-  EXPECT_NE(out.find("concord_check_violations_total 3"), std::string::npos);
-  // The escape-hatch registry renders after the built-ins.
-  EXPECT_NE(out.find("custom_total 1"), std::string::npos);
+TEST(ServeMetricsTest, RecordedStatsAndSummaryGoldens) {
+  MetricsRegistry registry;
+  RecordServeRequest(registry, "check", /*ok=*/true, /*micros=*/10);
+  RecordServeRequest(registry, "check", /*ok=*/false, /*micros=*/20);
+  RecordServeRequest(registry, "stats", /*ok=*/true, /*micros=*/1);
+  RecordServeRequest(registry, "learn", /*ok=*/true, /*micros=*/5000);
+  RecordServeRequest(registry, "metrics", /*ok=*/true, /*micros=*/0);
+  RecordServeRequest(registry, "invalid", /*ok=*/false, /*micros=*/3);
+  RecordCacheProbe(registry, /*hits=*/5, /*misses=*/2);
+  RecordCheckWork(registry, /*configs=*/6, /*contracts_evaluated=*/100,
+                  /*violations=*/3);
+  // Other families in the same registry do not leak into the serve views.
+  registry.Count("custom_total", "Embedder counter.", {});
 
-  // The JSON snapshot agrees with the exposition.
-  JsonValue snapshot = metrics.Snapshot();
-  EXPECT_EQ(snapshot.GetInt("requests"), 3);
-  EXPECT_EQ(snapshot.GetInt("errors"), 1);
-  EXPECT_EQ(snapshot.Find("verbs")->Find("check")->GetInt("count"), 2);
-  EXPECT_EQ(snapshot.Find("cache")->GetInt("hits"), 5);
-  EXPECT_EQ(snapshot.Find("work")->GetInt("configs_checked"), 6);
+  EXPECT_EQ(
+      ServeStatsJson(registry).Serialize(0),
+      R"({"requests":6,"errors":2,"verbs":{)"
+      R"("check":{"count":2,"errors":1,"latency":{"count":2,"sum_micros":30,)"
+      R"("max_micros":20,"mean_micros":15,"buckets":[0,0,0,1,1]}},)"
+      R"("invalid":{"count":1,"errors":1,"latency":{"count":1,"sum_micros":3,)"
+      R"("max_micros":3,"mean_micros":3,"buckets":[0,1]}},)"
+      R"("learn":{"count":1,"errors":0,"latency":{"count":1,"sum_micros":5000,)"
+      R"("max_micros":5000,"mean_micros":5000,"buckets":[0,0,0,0,0,0,0,0,0,0,0,0,1]}},)"
+      R"("metrics":{"count":1,"errors":0,"latency":{"count":1,"sum_micros":0,)"
+      R"("max_micros":0,"mean_micros":0,"buckets":[1]}},)"
+      R"("stats":{"count":1,"errors":0,"latency":{"count":1,"sum_micros":1,)"
+      R"("max_micros":1,"mean_micros":1,"buckets":[1]}}},)"
+      R"("cache":{"hits":5,"misses":2,"hit_rate":0.7142857142857143},)"
+      R"("work":{"configs_checked":6,"contracts_evaluated":100,"violations_found":3}})");
+  EXPECT_EQ(ServeSummaryText(registry),
+            "concord serve summary\n"
+            "  requests: 6 (2 errors)\n"
+            "    check: 2 (mean 15us, max 20us)\n"
+            "    invalid: 1 (mean 3us, max 3us)\n"
+            "    learn: 1 (mean 5000us, max 5000us)\n"
+            "    metrics: 1 (mean 0us, max 0us)\n"
+            "    stats: 1 (mean 1us, max 1us)\n"
+            "  config cache: 5 hits / 2 misses (71% hit rate)\n"
+            "  checked: 6 configs, 100 contracts evaluated, 3 violations\n");
+
+  // The exposition renders the same cells: every verb carries an ok and an
+  // error row, and the single-cell families render without braces.
+  std::string out = registry.PrometheusText();
+  for (const char* line :
+       {"concord_requests_total{verb=\"check\",status=\"error\"} 1\n",
+        "concord_requests_total{verb=\"check\",status=\"ok\"} 1\n",
+        "concord_requests_total{verb=\"learn\",status=\"error\"} 0\n",
+        "concord_requests_total{verb=\"invalid\",status=\"ok\"} 0\n",
+        "concord_request_latency_micros_count{verb=\"check\"} 2\n",
+        "concord_request_latency_micros_sum{verb=\"learn\"} 5000\n",
+        "concord_config_cache_probes_total{result=\"hit\"} 5\n",
+        "concord_config_cache_probes_total{result=\"miss\"} 2\n",
+        "concord_check_configs_total 6\n",
+        "concord_check_contracts_evaluated_total 100\n",
+        "concord_check_violations_total 3\n", "custom_total 1\n"}) {
+    EXPECT_NE(out.find(line), std::string::npos) << line;
+  }
+}
+
+TEST(MetricsRegistryTest, SetCounterOverwritesAndVisitFamilyWalksLabelOrder) {
+  MetricsRegistry registry;
+  registry.SetCounter("mirror_total", "Mirrored.", {{"k", "b"}}, 7);
+  registry.SetCounter("mirror_total", "Mirrored.", {{"k", "a"}}, 3);
+  registry.SetCounter("mirror_total", "Mirrored.", {{"k", "b"}}, 5);
+  EXPECT_EQ(registry.PrometheusText(),
+            "# HELP mirror_total Mirrored.\n"
+            "# TYPE mirror_total counter\n"
+            "mirror_total{k=\"a\"} 3\n"
+            "mirror_total{k=\"b\"} 5\n");
+  std::vector<std::string> seen;
+  registry.VisitFamily("mirror_total", [&seen](const MetricsRegistry::Cell& cell) {
+    seen.push_back(cell.labels[0].second + "=" + std::to_string(cell.counter));
+  });
+  EXPECT_EQ(seen, (std::vector<std::string>{"a=3", "b=5"}));
+  registry.VisitFamily("no_such_family",
+                       [](const MetricsRegistry::Cell&) { ADD_FAILURE(); });
 }
 
 }  // namespace

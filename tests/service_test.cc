@@ -6,6 +6,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -911,6 +912,159 @@ TEST_F(ServiceTest, MetricsVerbReturnsPrometheusExposition) {
             std::string::npos);
   EXPECT_NE(exposition->find("concord_contract_set_contracts{set=\"edge\"}"),
             std::string::npos);
+}
+
+// Client-chosen verbs never become metric labels: every verb outside the
+// closed set is counted under "unknown", so neither the stats reply nor the
+// exposition grows with the number of distinct bogus verbs.
+TEST_F(ServiceTest, UnknownVerbsShareOneBoundedMetricsLabel) {
+  auto service = MakeService();
+  TraceCollector::Global().Clear();
+  auto send_unknown = [&service](int first, int count) {
+    for (int i = first; i < first + count; ++i) {
+      std::string verb = "bogus_" + std::to_string(i) + std::string(200, 'x');
+      JsonValue response =
+          Respond(*service, R"({"v":1,"verb":")" + verb + R"("})");
+      EXPECT_EQ(response.Find("error")->GetString("code"), "unknown_verb");
+    }
+  };
+  auto exposition_lines = [&service] {
+    auto text = Respond(*service, R"({"v":1,"verb":"metrics"})").GetString("exposition");
+    return std::count(text->begin(), text->end(), '\n');
+  };
+  // Warm up so every family and label the scrapes below touch already exists.
+  send_unknown(0, 1);
+  Respond(*service, R"({"v":1,"verb":"metrics"})");
+  Respond(*service, "not json");
+
+  send_unknown(1, 9);
+  auto lines_after_10 = exposition_lines();
+  send_unknown(10, 90);
+  auto lines_after_100 = exposition_lines();
+  EXPECT_EQ(lines_after_10, lines_after_100);
+
+  JsonValue stats = Respond(*service, R"({"v":1,"verb":"stats"})");
+  const JsonValue* verbs = stats.Find("stats")->Find("verbs");
+  ASSERT_NE(verbs, nullptr);
+  EXPECT_EQ(verbs->Find("unknown")->GetInt("count"), 100);
+  EXPECT_EQ(verbs->Find("unknown")->GetInt("errors"), 100);
+  // Requests that fail before a verb is read stay "invalid".
+  EXPECT_EQ(verbs->Find("invalid")->GetInt("count"), 1);
+  EXPECT_EQ(verbs->members().size(), 3u);  // invalid, metrics, unknown.
+}
+
+// The per-stage trace totals are mirrored into the registry at scrape time as
+// absolute counter values.
+TEST_F(ServiceTest, MetricsMirrorTraceStageTotals) {
+  auto service = MakeService();
+  auto& collector = TraceCollector::Global();
+  collector.Clear();
+  collector.AddStageTime("learn", "index", 1500, 3);
+  collector.AddStageTime("learn", "mine", 2500);
+  collector.AddStageTime("learn", "odd\"stage\nname", 7);
+
+  std::string prom = service->PrometheusText();
+  EXPECT_NE(prom.find("# HELP concord_stage_duration_micros_total Cumulative stage "
+                      "wall time in microseconds.\n"
+                      "# TYPE concord_stage_duration_micros_total counter\n"
+                      "concord_stage_duration_micros_total{category=\"learn\","
+                      "stage=\"index\"} 1500\n"
+                      "concord_stage_duration_micros_total{category=\"learn\","
+                      "stage=\"mine\"} 2500\n"
+                      "concord_stage_duration_micros_total{category=\"learn\","
+                      "stage=\"odd\\\"stage\\nname\"} 7\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("# HELP concord_stage_runs_total Number of completed stage "
+                      "executions.\n"
+                      "# TYPE concord_stage_runs_total counter\n"
+                      "concord_stage_runs_total{category=\"learn\",stage=\"index\"} 3\n"
+                      "concord_stage_runs_total{category=\"learn\",stage=\"mine\"} 1\n"),
+            std::string::npos)
+      << prom;
+
+  // A second scrape reports the collector's totals, not their sum.
+  collector.AddStageTime("learn", "index", 500);
+  prom = service->PrometheusText();
+  EXPECT_NE(prom.find("concord_stage_duration_micros_total{category=\"learn\","
+                      "stage=\"index\"} 2000\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("concord_stage_runs_total{category=\"learn\",stage=\"index\"} 4\n"),
+            std::string::npos);
+}
+
+// Every family a store-backed service exposes, in the registry's name order,
+// with its HELP and TYPE lines.
+TEST_F(ServiceTest, StoreBackedExpositionFamilyList) {
+  ServiceOptions options;
+  options.store_dir = (dir_ / "store").string();
+  Service service(options);
+  GeneratedCorpus corpus = GenerateEdge(EdgeOptions{});
+  ASSERT_EQ(Respond(service, LearnRequest("learn", "lab", corpus.configs,
+                                          corpus.metadata, "configs"))
+                .GetBool("ok"),
+            true);
+  JsonValue item = JsonValue::Object();
+  item.Set("name", JsonValue::String(corpus.configs[0].name));
+  item.Set("text", JsonValue::String(corpus.configs[0].text));
+  JsonValue configs = JsonValue::Array();
+  configs.Append(std::move(item));
+  JsonValue check = JsonValue::Object();
+  check.Set("v", JsonValue::Number(int64_t{1}));
+  check.Set("verb", JsonValue::String("check"));
+  check.Set("contracts", JsonValue::String("lab"));
+  check.Set("configs", std::move(configs));
+  ASSERT_EQ(Respond(service, check.Serialize(0)).GetBool("ok"), true);
+  ASSERT_EQ(Respond(service, R"({"v":1,"verb":"analyze","contracts":"lab"})")
+                .GetBool("ok"),
+            true);
+  auto exposition =
+      Respond(service, R"({"v":1,"verb":"metrics"})").GetString("exposition");
+  ASSERT_TRUE(exposition.has_value());
+  std::string families;
+  std::istringstream lines(*exposition);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("# ", 0) == 0) {
+      families += line + "\n";
+    }
+  }
+  EXPECT_EQ(families,
+            "# HELP concord_analyze_findings_total Analyzer findings, by rule id.\n"
+            "# TYPE concord_analyze_findings_total counter\n"
+            "# HELP concord_analyze_runs_total Contract-set analyzer runs.\n"
+            "# TYPE concord_analyze_runs_total counter\n"
+            "# HELP concord_check_configs_total Configs checked.\n"
+            "# TYPE concord_check_configs_total counter\n"
+            "# HELP concord_check_contracts_evaluated_total Contract evaluations performed.\n"
+            "# TYPE concord_check_contracts_evaluated_total counter\n"
+            "# HELP concord_check_violations_total Contract violations found.\n"
+            "# TYPE concord_check_violations_total counter\n"
+            "# HELP concord_config_cache_probes_total Parsed-config cache probes, by result.\n"
+            "# TYPE concord_config_cache_probes_total counter\n"
+            "# HELP concord_contract_set_cached_configs Parsed configs resident in each set's cache.\n"
+            "# TYPE concord_contract_set_cached_configs gauge\n"
+            "# HELP concord_contract_set_contracts Contracts in each loaded set.\n"
+            "# TYPE concord_contract_set_contracts gauge\n"
+            "# HELP concord_contract_set_patterns Interned patterns in each loaded set.\n"
+            "# TYPE concord_contract_set_patterns gauge\n"
+            "# HELP concord_request_latency_micros Request wall time in microseconds, by verb.\n"
+            "# TYPE concord_request_latency_micros histogram\n"
+            "# HELP concord_requests_total Requests handled, by verb and outcome.\n"
+            "# TYPE concord_requests_total counter\n"
+            "# HELP concord_resident_datasets Learned datasets resident in memory.\n"
+            "# TYPE concord_resident_datasets gauge\n"
+            "# HELP concord_stage_duration_micros_total Cumulative stage wall time in microseconds.\n"
+            "# TYPE concord_stage_duration_micros_total counter\n"
+            "# HELP concord_stage_runs_total Number of completed stage executions.\n"
+            "# TYPE concord_stage_runs_total counter\n"
+            "# HELP concord_store_bytes Bytes of framed records in the durable store.\n"
+            "# TYPE concord_store_bytes gauge\n"
+            "# HELP concord_store_datasets Datasets persisted in the store manifest.\n"
+            "# TYPE concord_store_datasets gauge\n"
+            "# HELP concord_store_objects Content-addressed objects in the durable store.\n"
+            "# TYPE concord_store_objects gauge\n"
+            "# HELP concord_store_stage_total Durable-store reads by stage and outcome.\n"
+            "# TYPE concord_store_stage_total counter\n");
 }
 
 TEST_F(ServiceTest, UniqueReplayVerbIsUnknown) {

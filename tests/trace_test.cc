@@ -182,7 +182,7 @@ TEST_F(TraceTest, AllocationCountingTracksOperatorNew) {
   EXPECT_EQ(AllocationCount(), frozen);
 }
 
-TEST_F(TraceTest, ProfileTextAndPrometheusRenderStageTotals) {
+TEST_F(TraceTest, ProfileTextRendersStageTotals) {
   auto& collector = TraceCollector::Global();
   collector.EnableStats();
   collector.AddStageTime("learn", "index", 1500, 3);
@@ -192,17 +192,6 @@ TEST_F(TraceTest, ProfileTextAndPrometheusRenderStageTotals) {
   EXPECT_NE(profile.find("profile: per-stage breakdown"), std::string::npos);
   EXPECT_NE(profile.find("learn/index"), std::string::npos);
   EXPECT_NE(profile.find("learn/mine"), std::string::npos);
-
-  std::string prom;
-  collector.AppendPrometheus(&prom);
-  EXPECT_NE(prom.find("# TYPE concord_stage_duration_micros_total counter"),
-            std::string::npos);
-  EXPECT_NE(prom.find("concord_stage_duration_micros_total{category=\"learn\","
-                      "stage=\"index\"} 1500"),
-            std::string::npos);
-  EXPECT_NE(
-      prom.find("concord_stage_runs_total{category=\"learn\",stage=\"index\"} 3"),
-      std::string::npos);
 }
 
 // The acceptance criterion behind `--profile`: the learner's stage spans

@@ -77,7 +77,59 @@ EOF
     echo "serve smoke FAILED: metrics missing the check request counter" >&2
     exit 1
   fi
-  echo "serve smoke OK ($lines responses, cache hit on repeat, metrics valid)"
+  # Second pass, store-backed: learn a dataset, check against it, analyze it,
+  # send an unknown verb, scrape. The exposition (store and stage families
+  # included) must validate, and the request counter may carry no verb label
+  # outside the closed verb set plus "unknown"/"invalid".
+  text2="$(sed -e 's/$/\\n/' "$tmp/dev2.cfg" | tr -d '\n')"
+  text3="$(sed -e 's/$/\\n/' "$tmp/dev3.cfg" | tr -d '\n')"
+  cat > "$tmp/store_requests.ndjson" <<EOF
+{"v":1,"verb":"learn","dataset":"lab","configs":[{"name":"dev1.cfg","text":"$text1"},{"name":"dev2.cfg","text":"$text2"},{"name":"dev3.cfg","text":"$text3"}],"options":{"support":2}}
+{"v":1,"verb":"check","contracts":"lab","configs":[{"name":"dev1.cfg","text":"$text1"}]}
+{"v":1,"verb":"analyze","contracts":"lab"}
+{"v":1,"verb":"no_such_verb"}
+{"v":1,"verb":"metrics"}
+{"v":1,"verb":"shutdown"}
+EOF
+  out="$("$concord" serve --store-dir "$tmp/store" --quiet \
+    < "$tmp/store_requests.ndjson")" || exit 2
+  store_lines="$(printf '%s\n' "$out" | wc -l)"
+  failed="$(printf '%s\n' "$out" | grep -n '"ok":false' | cut -d: -f1)"
+  if [ "$store_lines" -ne 6 ] || [ "$failed" != "4" ] \
+      || ! printf '%s\n' "$out" | sed -n 4p | grep -q '"code":"unknown_verb"'; then
+    echo "store-backed serve smoke FAILED; responses:" >&2
+    printf '%s\n' "$out" >&2
+    exit 1
+  fi
+  metrics_line="$(printf '%s\n' "$out" | sed -n 5p)"
+  if ! printf '%s\n' "$metrics_line" \
+      | python3 "$(dirname "$0")/check_prom.py"; then
+    echo "store-backed serve smoke FAILED: metrics exposition did not validate" >&2
+    exit 1
+  fi
+  # In the NDJSON line the label quotes are JSON-escaped: verb=\"check\".
+  verbs="$(printf '%s' "$metrics_line" \
+    | grep -o 'concord_requests_total{verb=\\"[^\\]*' \
+    | sed 's/.*verb=\\"//' | sort -u)"
+  allowed=" check check_batch coverage analyze reload learn update stats metrics"
+  allowed="$allowed shutdown unknown invalid "
+  for verb in $verbs; do
+    case "$allowed" in
+      *" $verb "*) ;;
+      *)
+        echo "store-backed serve smoke FAILED: verb label '$verb' is outside" \
+          "the closed set" >&2
+        exit 1
+        ;;
+    esac
+  done
+  if ! printf '%s\n' "$verbs" | grep -qx unknown; then
+    echo "store-backed serve smoke FAILED: the unknown verb was not counted" \
+      "under \"unknown\"" >&2
+    exit 1
+  fi
+  echo "serve smoke OK ($lines responses, cache hit on repeat, metrics valid;"
+  echo "  store-backed scrape valid, verb labels bounded: $(echo $verbs))"
 }
 
 if [ "${1:-}" = "--store" ]; then
