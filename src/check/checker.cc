@@ -1,11 +1,11 @@
 #include "src/check/checker.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
-#include <memory>
+#include <cstring>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "src/util/arena.h"
@@ -66,17 +66,15 @@ std::optional<CoverageKind> CoverageKindOf(const Contract& contract) {
 
 namespace {
 
-// Per-config coverage bitmask: one byte per line, bit i = CoverageKind i.
-// Atomic because parallel contract ranges can mark the same config; OR is
-// commutative, so marking order never shows in the result. Null when coverage
-// is off. Storage comes from the request arena.
-using CoverFlags = std::atomic<uint8_t>*;
+// Per-config coverage bitmask: one byte per line, bit i = CoverageKind i. A
+// config belongs to exactly one scan block, so its flags have one writer. Null
+// when coverage is off. Storage comes from the request arena.
+using CoverFlags = uint8_t*;
 
 void MarkCovered(CoverFlags flags, const ConfigIndex& index, uint32_t line,
                  CoverageKind kind) {
   if (line < index.own_line_count) {
-    flags[line].fetch_or(static_cast<uint8_t>(1u << static_cast<uint8_t>(kind)),
-                         std::memory_order_relaxed);
+    flags[line] |= static_cast<uint8_t>(1u << static_cast<uint8_t>(kind));
   }
 }
 
@@ -88,10 +86,13 @@ struct Posting {
   const std::vector<uint32_t>* occ;   // That config's occurrence list.
 };
 
-// The contract-major scan walks the batch in config tiles of this many configs:
-// pure contract-major order re-touches every config's parsed lines once per
-// contract, which falls off the cache cliff for large batches. Per-contract
+// A scan block walks its configs in tiles of this many configs: pure
+// contract-major order re-touches every config's parsed lines once per
+// contract, which falls off the cache cliff for large blocks. Per-contract
 // cursors into the (ordinal-sorted) postings keep the output order identical.
+// A block is never smaller than one tile, because every block pays a fixed
+// per-contract cost (cursor seek, loop overhead) that a smaller one would not
+// amortize.
 constexpr size_t kTileConfigs = 32;
 
 // Does the relation hold between the forall-side line l1 and exists-side line l2 of
@@ -205,9 +206,7 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
   const bool measure_coverage = options.measure_coverage;
   ThrowIfExpired(deadline);
   TraceSpan total_span("check", "total");
-  // Per-contract-kind attribution. Contracts are canonically sorted by kind, so
-  // timing only at kind boundaries keeps this to a handful of clock reads per
-  // contract range; with tracing off there are none at all.
+  // Per-kind scan time, summed over the blocks (see time_kind below).
   TraceCollector& tracer = TraceCollector::Global();
   const bool trace_on = tracer.mode() != 0;
   constexpr size_t kNumKinds = 6;
@@ -240,11 +239,8 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
     result.total_lines += indexes[ci]->own_line_count;
     if (measure_coverage) {
       size_t lines = indexes[ci]->lines.size();
-      CoverFlags flags = arena.AllocateArray<std::atomic<uint8_t>>(lines);
-      for (size_t li = 0; li < lines; ++li) {
-        new (&flags[li]) std::atomic<uint8_t>(0);
-      }
-      cover[ci] = flags;
+      cover[ci] = arena.AllocateArray<uint8_t>(lines);
+      std::memset(cover[ci], 0, lines);
     }
   }
 
@@ -270,25 +266,14 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
     }
   }
 
-  // Deadline expiry inside parallel sections is recorded in a flag and re-raised
-  // from the calling thread afterwards: pool tasks must not throw, because the
-  // service shares one pool across concurrent requests and a pool-delivered
-  // exception could surface in the wrong request's Wait().
-  std::atomic<bool> deadline_hit{false};
+  // Per-config violations, in emission order: a config's type violations, then
+  // its contracts ascending. Each config is written by its block only.
+  std::vector<std::vector<Violation>> violations(n);
 
-  // ---- Type contracts: one pass over each config's lines (config-major; the
-  // per-line rule lookup is independent of other configs). ----
-  std::vector<std::vector<Violation>> type_violations(n);
+  // ---- Type contracts: one pass over a config's lines (the per-line rule
+  // lookup is independent of other configs). ----
   auto check_types = [&](size_t ci) {
-    if (deadline_hit.load(std::memory_order_relaxed)) {
-      return;
-    }
-    if (deadline.expired()) {
-      deadline_hit.store(true, std::memory_order_relaxed);
-      return;
-    }
     const ConfigIndex& index = *indexes[ci];
-    uint64_t start = trace_on ? tracer.NowMicros() : 0;
     for (uint32_t li = 0; li < index.lines.size(); ++li) {
       const ParsedLine& line = *index.lines[li];
       const std::vector<TypeRule>* rules;
@@ -308,7 +293,7 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
         }
         if (rule.param < info.param_types.size() &&
             info.param_types[rule.param] == rule.invalid) {
-          type_violations[ci].push_back(Violation{
+          violations[ci].push_back(Violation{
               rule.contract_index, index.config->name, line.line_number,
               "mistyped value: parameter " + PatternTable::ParamName(rule.param) +
                   " has disallowed type [" + std::string(ValueTypeName(rule.invalid)) +
@@ -316,50 +301,23 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
         }
       }
     }
-    if (trace_on) {
-      kind_micros[static_cast<size_t>(ContractKind::kType)].fetch_add(
-          tracer.NowMicros() - start, std::memory_order_relaxed);
-    }
   };
 
-  // ---- Contract-major scan: contracts partitioned into contiguous ranges,
-  // each range evaluated against the whole batch via the postings table. ----
-  const bool parallel = options.parallelism != 1;
-  size_t worker_count = 1;
-  if (parallel) {
-    if (options.pool != nullptr) {
-      worker_count = options.pool->num_threads();
-    } else if (options.parallelism <= 0) {
-      worker_count = std::thread::hardware_concurrency();
-    } else {
-      worker_count = static_cast<size_t>(options.parallelism);
-    }
-    if (worker_count == 0) {
-      worker_count = 1;
-    }
-  }
-  std::vector<std::pair<size_t, size_t>> ranges;  // [begin, end) contract index.
-  if (num_contracts > 0) {
-    size_t want = parallel ? worker_count * 4 : 1;
-    if (want > num_contracts) {
-      want = num_contracts;
-    }
-    size_t chunk = (num_contracts + want - 1) / want;
-    for (size_t begin = 0; begin < num_contracts; begin += chunk) {
-      size_t end = begin + chunk < num_contracts ? begin + chunk : num_contracts;
-      ranges.emplace_back(begin, end);
-    }
-  }
+  // ---- The scan (DESIGN.md §12): the batch is cut into contiguous config
+  // blocks — one on the caller without a pool, at most four per pool thread
+  // with one — and each block walks its configs tile by tile, running the type
+  // pass and then every contract over each tile via the postings table. ----
+  const size_t tiles = (n + kTileConfigs - 1) / kTileConfigs;
+  const size_t max_blocks =
+      options.pool == nullptr ? 1 : options.pool->num_threads() * 4;
+  const size_t block_size =
+      std::max<size_t>(1, (tiles + max_blocks - 1) / max_blocks) * kTileConfigs;
+  const size_t num_blocks = (n + block_size - 1) / block_size;
 
-  std::vector<std::vector<std::vector<Violation>>> range_violations(ranges.size());
-  auto check_range = [&](size_t r) {
-    if (deadline_hit.load(std::memory_order_relaxed)) {
-      return;
-    }
-    const auto [range_begin, range_end] = ranges[r];
-    std::vector<std::vector<Violation>>& bucket = range_violations[r];
-    bucket.resize(n);
-    // Per-task arena for witness scratch; tasks never share arenas, so the
+  auto scan_block = [&](size_t b) {
+    const size_t block_begin = b * block_size;
+    const size_t block_end = std::min(n, block_begin + block_size);
+    // Per-block arena for witness scratch; blocks never share arenas, so the
     // bump pointer needs no synchronization.
     Arena task_arena;
     struct Witness {
@@ -375,208 +333,285 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
 
     auto violate = [&](size_t ci, size_t contract_index, int line_number,
                        std::string message) {
-      bucket[ci].push_back(Violation{contract_index, indexes[ci]->config->name,
-                                     line_number, std::move(message)});
+      violations[ci].push_back(Violation{contract_index, indexes[ci]->config->name,
+                                         line_number, std::move(message)});
     };
 
-    // Per-contract cursor into its (ordinal-sorted) postings list; each tile
-    // consumes the postings whose ordinal falls inside it, in order.
-    ArenaVector<size_t> cursor{ArenaAllocator<size_t>(&task_arena)};
-    cursor.resize(range_end - range_begin, 0);
+    // Per-contract cursor into its (ordinal-sorted) postings list, seeked once
+    // to the block's first config; each tile then consumes the postings whose
+    // ordinal falls inside it, in order.
+    ArenaVector<size_t> cursor(num_contracts, 0, ArenaAllocator<size_t>(&task_arena));
+    for (size_t k = 0; k < num_contracts; ++k) {
+      if (contract_slot_[k] != kNoSlot) {
+        const ArenaVector<Posting>& ps = postings[contract_slot_[k]];
+        cursor[k] = static_cast<size_t>(
+            std::lower_bound(ps.begin(), ps.end(), block_begin,
+                             [](const Posting& p, size_t ci) { return p.ordinal < ci; }) -
+            ps.begin());
+      }
+    }
 
+    // Per-kind attribution: contracts are canonically sorted by kind, so timing
+    // only at kind boundaries keeps this to a handful of clock reads per tile;
+    // with tracing off there are none at all.
     int timed_kind = -1;
-    uint64_t mark = trace_on ? tracer.NowMicros() : 0;
-    for (size_t tile_begin = 0; tile_begin < n; tile_begin += kTileConfigs) {
-    const size_t tile_end =
-        tile_begin + kTileConfigs < n ? tile_begin + kTileConfigs : n;
-    for (size_t k = range_begin; k < range_end; ++k) {
-      // One contract now covers a whole tile, so poll the deadline at contract
-      // granularity (every 16 is comparable to the old per-config cadence of
-      // 256 contracts).
-      if (((k - range_begin) & 15u) == 15u && deadline.expired()) {
-        deadline_hit.store(true, std::memory_order_relaxed);
+    uint64_t mark = 0;
+    auto time_kind = [&](int kind) {
+      if (!trace_on || kind == timed_kind) {
         return;
       }
-      const Contract& c = set_->contracts[k];
-      if (pruned(k)) {
-        continue;
+      uint64_t now = tracer.NowMicros();
+      if (timed_kind >= 0) {
+        kind_micros[static_cast<size_t>(timed_kind)].fetch_add(
+            now - mark, std::memory_order_relaxed);
       }
-      if (trace_on && static_cast<int>(c.kind) != timed_kind) {
-        uint64_t now = tracer.NowMicros();
-        if (timed_kind >= 0) {
-          kind_micros[static_cast<size_t>(timed_kind)].fetch_add(
-              now - mark, std::memory_order_relaxed);
+      mark = now;
+      timed_kind = kind;
+    };
+
+    for (size_t tile_begin = block_begin; tile_begin < block_end;
+         tile_begin += kTileConfigs) {
+      const size_t tile_end = std::min(block_end, tile_begin + kTileConfigs);
+      ThrowIfExpired(deadline);
+      if (!type_rules_.empty()) {
+        time_kind(static_cast<int>(ContractKind::kType));
+        for (size_t ci = tile_begin; ci < tile_end; ++ci) {
+          check_types(ci);
         }
-        mark = now;
-        timed_kind = static_cast<int>(c.kind);
       }
-      switch (c.kind) {
-        case ContractKind::kType:
-          break;  // Handled in the line pass above.
+      for (size_t k = 0; k < num_contracts; ++k) {
+        // One contract covers a whole tile, so poll the deadline at contract
+        // granularity.
+        if ((k & 15u) == 15u) {
+          ThrowIfExpired(deadline);
+        }
+        const Contract& c = set_->contracts[k];
+        if (pruned(k)) {
+          continue;
+        }
+        time_kind(static_cast<int>(c.kind));
+        switch (c.kind) {
+          case ContractKind::kType:
+            break;  // Handled by the tile's type pass.
 
-        case ContractKind::kUnique:
-          break;  // Handled globally below.
+          case ContractKind::kUnique:
+            break;  // Handled globally below.
 
-        case ContractKind::kPresent: {
-          const ArenaVector<Posting>& ps = postings[contract_slot_[k]];
-          size_t& pi = cursor[k - range_begin];
-          if (ps.size() == n) {
-            // Every config has the pattern: coverage-only walk, no message.
-            if (measure_coverage) {
-              for (; pi < ps.size() && ps[pi].ordinal < tile_end; ++pi) {
-                const Posting& p = ps[pi];
-                if (p.occ->size() == 1) {
-                  MarkCovered(cover[p.ordinal], *indexes[p.ordinal], (*p.occ)[0],
-                              CoverageKind::kPresent);
+          case ContractKind::kPresent: {
+            const ArenaVector<Posting>& ps = postings[contract_slot_[k]];
+            size_t& pi = cursor[k];
+            if (ps.size() == n) {
+              // Every config has the pattern: coverage-only walk, no message.
+              if (measure_coverage) {
+                for (; pi < ps.size() && ps[pi].ordinal < tile_end; ++pi) {
+                  const Posting& p = ps[pi];
+                  if (p.occ->size() == 1) {
+                    MarkCovered(cover[p.ordinal], *indexes[p.ordinal], (*p.occ)[0],
+                                CoverageKind::kPresent);
+                  }
+                }
+              }
+              break;
+            }
+            // Complement walk: postings are in batch order, so one merge pass
+            // finds the configs where the pattern is absent (the violators).
+            std::string missing =
+                "missing line matching pattern " + table_->Get(c.pattern).text;
+            for (size_t ci = tile_begin; ci < tile_end; ++ci) {
+              if (pi < ps.size() && ps[pi].ordinal == ci) {
+                const std::vector<uint32_t>& occ = *ps[pi].occ;
+                ++pi;
+                if (measure_coverage && occ.size() == 1) {
+                  MarkCovered(cover[ci], *indexes[ci], occ[0], CoverageKind::kPresent);
+                }
+              } else {
+                violate(ci, k, 0, missing);
+              }
+            }
+            break;
+          }
+
+          case ContractKind::kOrdering: {
+            const ArenaVector<Posting>& ps = postings[contract_slot_[k]];
+            if (ps.empty()) {
+              break;  // Vacuous everywhere.
+            }
+            const bool stream_constant = table_->Get(c.pattern).is_constant;
+            // The message is identical for every violating line of every config;
+            // built at most once per contract and tile.
+            std::string message;
+            size_t& pi = cursor[k];
+            for (; pi < ps.size() && ps[pi].ordinal < tile_end; ++pi) {
+              const Posting& p = ps[pi];
+              const size_t ci = p.ordinal;
+              const ConfigIndex& index = *indexes[ci];
+              for (uint32_t i : *p.occ) {
+                if (i >= index.own_line_count) {
+                  continue;  // Metadata has no meaningful adjacency.
+                }
+                uint32_t j;
+                bool in_range;
+                if (c.successor) {
+                  j = i + 1;
+                  in_range = j < index.own_line_count;
+                } else {
+                  in_range = i > 0;
+                  j = in_range ? i - 1 : 0;
+                }
+                PatternId neighbor = kInvalidPattern;
+                if (in_range) {
+                  neighbor = stream_constant ? index.lines[j]->const_pattern
+                                             : index.lines[j]->pattern;
+                }
+                if (neighbor != c.pattern2) {
+                  if (message.empty()) {
+                    message = std::string("line is not immediately ") +
+                              (c.successor ? "followed" : "preceded") +
+                              " by a line matching " + table_->Get(c.pattern2).text;
+                  }
+                  violate(ci, k, index.lines[i]->line_number, message);
+                } else if (measure_coverage) {
+                  // Strict removal semantics: removing the witness j only violates the
+                  // contract if the line sliding into its place does NOT also match p2.
+                  PatternId replacement = kInvalidPattern;
+                  if (c.successor) {
+                    if (j + 1 < index.own_line_count) {
+                      replacement = stream_constant ? index.lines[j + 1]->const_pattern
+                                                    : index.lines[j + 1]->pattern;
+                    }
+                  } else if (j > 0) {
+                    replacement = stream_constant ? index.lines[j - 1]->const_pattern
+                                                  : index.lines[j - 1]->pattern;
+                  }
+                  if (replacement != c.pattern2) {
+                    MarkCovered(cover[ci], index, j, CoverageKind::kOrdering);
+                  }
                 }
               }
             }
             break;
           }
-          // Complement walk: postings are in batch order, so one merge pass
-          // finds the configs where the pattern is absent (the violators).
-          std::string missing =
-              "missing line matching pattern " + table_->Get(c.pattern).text;
-          for (size_t ci = tile_begin; ci < tile_end; ++ci) {
-            if (pi < ps.size() && ps[pi].ordinal == ci) {
-              const std::vector<uint32_t>& occ = *ps[pi].occ;
-              ++pi;
-              if (measure_coverage && occ.size() == 1) {
-                MarkCovered(cover[ci], *indexes[ci], occ[0], CoverageKind::kPresent);
-              }
-            } else {
-              violate(ci, k, 0, missing);
-            }
-          }
-          break;
-        }
 
-        case ContractKind::kOrdering: {
-          const ArenaVector<Posting>& ps = postings[contract_slot_[k]];
-          if (ps.empty()) {
-            break;  // Vacuous everywhere.
-          }
-          const bool stream_constant = table_->Get(c.pattern).is_constant;
-          // The message is identical for every violating line of every config;
-          // built at most once per contract and tile.
-          std::string message;
-          size_t& pi = cursor[k - range_begin];
-          for (; pi < ps.size() && ps[pi].ordinal < tile_end; ++pi) {
-            const Posting& p = ps[pi];
-            const size_t ci = p.ordinal;
-            const ConfigIndex& index = *indexes[ci];
-            for (uint32_t i : *p.occ) {
-              if (i >= index.own_line_count) {
-                continue;  // Metadata has no meaningful adjacency.
-              }
-              uint32_t j;
-              bool in_range;
-              if (c.successor) {
-                j = i + 1;
-                in_range = j < index.own_line_count;
-              } else {
-                in_range = i > 0;
-                j = in_range ? i - 1 : 0;
-              }
-              PatternId neighbor = kInvalidPattern;
-              if (in_range) {
-                neighbor = stream_constant ? index.lines[j]->const_pattern
-                                           : index.lines[j]->pattern;
-              }
-              if (neighbor != c.pattern2) {
-                if (message.empty()) {
-                  message = std::string("line is not immediately ") +
-                            (c.successor ? "followed" : "preceded") +
-                            " by a line matching " + table_->Get(c.pattern2).text;
-                }
-                violate(ci, k, index.lines[i]->line_number, message);
-              } else if (measure_coverage) {
-                // Strict removal semantics: removing the witness j only violates the
-                // contract if the line sliding into its place does NOT also match p2.
-                PatternId replacement = kInvalidPattern;
-                if (c.successor) {
-                  if (j + 1 < index.own_line_count) {
-                    replacement = stream_constant ? index.lines[j + 1]->const_pattern
-                                                  : index.lines[j + 1]->pattern;
-                  }
-                } else if (j > 0) {
-                  replacement = stream_constant ? index.lines[j - 1]->const_pattern
-                                                : index.lines[j - 1]->pattern;
-                }
-                if (replacement != c.pattern2) {
-                  MarkCovered(cover[ci], index, j, CoverageKind::kOrdering);
-                }
-              }
-            }
-          }
-          break;
-        }
-
-        case ContractKind::kSequence: {
-          const ArenaVector<Posting>& ps = postings[contract_slot_[k]];
-          size_t& pi = cursor[k - range_begin];
-          for (; pi < ps.size() && ps[pi].ordinal < tile_end; ++pi) {
-            const Posting& p = ps[pi];
-            const size_t ci = p.ordinal;
-            const ConfigIndex& index = *indexes[ci];
-            const std::vector<uint32_t>& occ = *p.occ;
-            if (occ.size() < 2) {
-              continue;
-            }
-            bool holds = true;
-            bool have_step = false;
-            BigInt step;
-            int direction = 0;
-            for (size_t m = 1; m < occ.size(); ++m) {
-              const BigInt& prev = index.lines[occ[m - 1]]->values[c.param].AsBigInt();
-              const BigInt& cur = index.lines[occ[m]]->values[c.param].AsBigInt();
-              int dir = cur.Compare(prev);
-              BigInt diff = cur.AbsDiff(prev);
-              bool ok = dir != 0 && (!have_step || (diff == step && dir == direction));
-              if (!ok) {
-                holds = false;
-                violate(ci, k, index.lines[occ[m]]->line_number,
-                        "breaks the equidistant sequence of parameter " +
-                            PatternTable::ParamName(c.param) + " (value " +
-                            cur.ToDecimal() + ")");
-                break;
-              }
-              if (!have_step) {
-                step = diff;
-                direction = dir;
-                have_step = true;
-              }
-            }
-            if (holds && measure_coverage && occ.size() >= 4) {
-              for (size_t m = 1; m + 1 < occ.size(); ++m) {
-                MarkCovered(cover[ci], index, occ[m], CoverageKind::kSequence);
-              }
-            }
-          }
-          break;
-        }
-
-        case ContractKind::kRelational: {
-          const ArenaVector<Posting>& ps = postings[contract_slot_[k]];
-          if (ps.empty()) {
-            break;  // Vacuous everywhere.
-          }
-          // Shared message prefix (the value is per-violation), built at most
-          // once per contract.
-          std::string prefix;
-          // Equality holds iff the transformed canonical keys match, so the
-          // witness list collapses into a hash table probed per forall line:
-          // O(occ1 + occ2) per config instead of the linear witness scan's
-          // O(occ1 * occ2). Order-sensitive output (violations per occurrence,
-          // sole-witness coverage) is unchanged: the table records the match
-          // count and the sole witness line, which is all the scan ever used.
-          size_t& pi = cursor[k - range_begin];
-          if (c.relation == RelationKind::kEquals) {
+          case ContractKind::kSequence: {
+            const ArenaVector<Posting>& ps = postings[contract_slot_[k]];
+            size_t& pi = cursor[k];
             for (; pi < ps.size() && ps[pi].ordinal < tile_end; ++pi) {
               const Posting& p = ps[pi];
               const size_t ci = p.ordinal;
               const ConfigIndex& index = *indexes[ci];
-              eq_witnesses.clear();
+              const std::vector<uint32_t>& occ = *p.occ;
+              if (occ.size() < 2) {
+                continue;
+              }
+              bool holds = true;
+              bool have_step = false;
+              BigInt step;
+              int direction = 0;
+              for (size_t m = 1; m < occ.size(); ++m) {
+                const BigInt& prev = index.lines[occ[m - 1]]->values[c.param].AsBigInt();
+                const BigInt& cur = index.lines[occ[m]]->values[c.param].AsBigInt();
+                int dir = cur.Compare(prev);
+                BigInt diff = cur.AbsDiff(prev);
+                bool ok = dir != 0 && (!have_step || (diff == step && dir == direction));
+                if (!ok) {
+                  holds = false;
+                  violate(ci, k, index.lines[occ[m]]->line_number,
+                          "breaks the equidistant sequence of parameter " +
+                              PatternTable::ParamName(c.param) + " (value " +
+                              cur.ToDecimal() + ")");
+                  break;
+                }
+                if (!have_step) {
+                  step = diff;
+                  direction = dir;
+                  have_step = true;
+                }
+              }
+              if (holds && measure_coverage && occ.size() >= 4) {
+                for (size_t m = 1; m + 1 < occ.size(); ++m) {
+                  MarkCovered(cover[ci], index, occ[m], CoverageKind::kSequence);
+                }
+              }
+            }
+            break;
+          }
+
+          case ContractKind::kRelational: {
+            const ArenaVector<Posting>& ps = postings[contract_slot_[k]];
+            if (ps.empty()) {
+              break;  // Vacuous everywhere.
+            }
+            // Shared message prefix (the value is per-violation), built at most
+            // once per contract.
+            std::string prefix;
+            // Equality holds iff the transformed canonical keys match, so the
+            // witness list collapses into a hash table probed per forall line:
+            // O(occ1 + occ2) per config instead of the linear witness scan's
+            // O(occ1 * occ2). Order-sensitive output (violations per occurrence,
+            // sole-witness coverage) is unchanged: the table records the match
+            // count and the sole witness line, which is all the scan ever used.
+            size_t& pi = cursor[k];
+            if (c.relation == RelationKind::kEquals) {
+              for (; pi < ps.size() && ps[pi].ordinal < tile_end; ++pi) {
+                const Posting& p = ps[pi];
+                const size_t ci = p.ordinal;
+                const ConfigIndex& index = *indexes[ci];
+                eq_witnesses.clear();
+                auto it2 = index.by_pattern.find(c.pattern2);
+                if (it2 != index.by_pattern.end()) {
+                  for (uint32_t j : it2->second) {
+                    const ParsedLine& l2 = *index.lines[j];
+                    if (c.param2 >= l2.values.size()) {
+                      continue;
+                    }
+                    auto key2 = c.transform2.Apply(l2.values[c.param2]);
+                    if (key2) {
+                      auto [slot, inserted] = eq_witnesses.TryEmplace(
+                          std::move(*key2), std::make_pair(uint32_t{1}, j));
+                      if (!inserted) {
+                        ++slot->first;
+                      }
+                    }
+                  }
+                }
+                for (uint32_t i : *p.occ) {
+                  const ParsedLine& l1 = *index.lines[i];
+                  if (c.param >= l1.values.size()) {
+                    continue;
+                  }
+                  auto key1 = c.transform1.Apply(l1.values[c.param]);
+                  if (!key1) {
+                    continue;
+                  }
+                  auto hit = eq_witnesses.find(*key1);
+                  if (hit == eq_witnesses.end()) {
+                    if (prefix.empty()) {
+                      prefix = "no line matching " + table_->Get(c.pattern2).text +
+                               " satisfies " +
+                               std::string(RelationKindName(c.relation)) +
+                               " with value ";
+                    }
+                    violate(ci, k, l1.line_number,
+                            prefix + l1.values[c.param].ToString());
+                  } else if (hit->second.first == 1 && measure_coverage &&
+                             hit->second.second != i) {
+                    // An intra-line witness disappears together with the forall
+                    // line (vacuous), so it cannot count as coverage.
+                    auto kind = CoverageKindOf(c);
+                    if (kind) {
+                      MarkCovered(cover[ci], index, hit->second.second, *kind);
+                    }
+                  }
+                }
+              }
+              break;
+            }
+            for (; pi < ps.size() && ps[pi].ordinal < tile_end; ++pi) {
+              const Posting& p = ps[pi];
+              const size_t ci = p.ordinal;
+              const ConfigIndex& index = *indexes[ci];
+              // Witness key/value list for the exists side, computed once per config.
+              witnesses.clear();
               auto it2 = index.by_pattern.find(c.pattern2);
               if (it2 != index.by_pattern.end()) {
                 for (uint32_t j : it2->second) {
@@ -586,11 +621,7 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
                   }
                   auto key2 = c.transform2.Apply(l2.values[c.param2]);
                   if (key2) {
-                    auto [slot, inserted] = eq_witnesses.TryEmplace(
-                        std::move(*key2), std::make_pair(uint32_t{1}, j));
-                    if (!inserted) {
-                      ++slot->first;
-                    }
+                    witnesses.push_back(Witness{std::move(*key2), &l2.values[c.param2], j});
                   }
                 }
               }
@@ -603,148 +634,52 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
                 if (!key1) {
                   continue;
                 }
-                auto hit = eq_witnesses.find(*key1);
-                if (hit == eq_witnesses.end()) {
+                uint32_t sole_witness = 0;
+                int found = 0;
+                for (const Witness& w : witnesses) {
+                  if (w.line != i &&
+                      RelationHolds(c, *key1, l1.values[c.param], w.key, *w.value)) {
+                    ++found;
+                    sole_witness = w.line;
+                    if (found > 1 && !measure_coverage) {
+                      break;
+                    }
+                  } else if (w.line == i &&
+                             RelationHolds(c, *key1, l1.values[c.param], w.key, *w.value)) {
+                    // Intra-line witness (different parameter of the same line).
+                    ++found;
+                    sole_witness = w.line;
+                  }
+                }
+                if (found == 0) {
                   if (prefix.empty()) {
                     prefix = "no line matching " + table_->Get(c.pattern2).text +
-                             " satisfies " +
-                             std::string(RelationKindName(c.relation)) +
+                             " satisfies " + std::string(RelationKindName(c.relation)) +
                              " with value ";
                   }
-                  violate(ci, k, l1.line_number,
-                          prefix + l1.values[c.param].ToString());
-                } else if (hit->second.first == 1 && measure_coverage &&
-                           hit->second.second != i) {
-                  // An intra-line witness disappears together with the forall
-                  // line (vacuous), so it cannot count as coverage.
+                  violate(ci, k, l1.line_number, prefix + l1.values[c.param].ToString());
+                } else if (found == 1 && measure_coverage && sole_witness != i) {
+                  // An intra-line witness disappears together with the forall line
+                  // (vacuous), so it cannot count as coverage.
                   auto kind = CoverageKindOf(c);
                   if (kind) {
-                    MarkCovered(cover[ci], index, hit->second.second, *kind);
+                    MarkCovered(cover[ci], index, sole_witness, *kind);
                   }
                 }
               }
             }
             break;
           }
-          for (; pi < ps.size() && ps[pi].ordinal < tile_end; ++pi) {
-            const Posting& p = ps[pi];
-            const size_t ci = p.ordinal;
-            const ConfigIndex& index = *indexes[ci];
-            // Witness key/value list for the exists side, computed once per config.
-            witnesses.clear();
-            auto it2 = index.by_pattern.find(c.pattern2);
-            if (it2 != index.by_pattern.end()) {
-              for (uint32_t j : it2->second) {
-                const ParsedLine& l2 = *index.lines[j];
-                if (c.param2 >= l2.values.size()) {
-                  continue;
-                }
-                auto key2 = c.transform2.Apply(l2.values[c.param2]);
-                if (key2) {
-                  witnesses.push_back(Witness{std::move(*key2), &l2.values[c.param2], j});
-                }
-              }
-            }
-            for (uint32_t i : *p.occ) {
-              const ParsedLine& l1 = *index.lines[i];
-              if (c.param >= l1.values.size()) {
-                continue;
-              }
-              auto key1 = c.transform1.Apply(l1.values[c.param]);
-              if (!key1) {
-                continue;
-              }
-              uint32_t sole_witness = 0;
-              int found = 0;
-              for (const Witness& w : witnesses) {
-                if (w.line != i &&
-                    RelationHolds(c, *key1, l1.values[c.param], w.key, *w.value)) {
-                  ++found;
-                  sole_witness = w.line;
-                  if (found > 1 && !measure_coverage) {
-                    break;
-                  }
-                } else if (w.line == i &&
-                           RelationHolds(c, *key1, l1.values[c.param], w.key, *w.value)) {
-                  // Intra-line witness (different parameter of the same line).
-                  ++found;
-                  sole_witness = w.line;
-                }
-              }
-              if (found == 0) {
-                if (prefix.empty()) {
-                  prefix = "no line matching " + table_->Get(c.pattern2).text +
-                           " satisfies " + std::string(RelationKindName(c.relation)) +
-                           " with value ";
-                }
-                violate(ci, k, l1.line_number, prefix + l1.values[c.param].ToString());
-              } else if (found == 1 && measure_coverage && sole_witness != i) {
-                // An intra-line witness disappears together with the forall line
-                // (vacuous), so it cannot count as coverage.
-                auto kind = CoverageKindOf(c);
-                if (kind) {
-                  MarkCovered(cover[ci], index, sole_witness, *kind);
-                }
-              }
-            }
-          }
-          break;
         }
       }
     }
-    }  // Tile loop.
-    if (trace_on && timed_kind >= 0) {
-      kind_micros[static_cast<size_t>(timed_kind)].fetch_add(
-          tracer.NowMicros() - mark, std::memory_order_relaxed);
-    }
+    time_kind(-1);
   };
+  ParallelFor(options.pool, num_blocks, scan_block);
 
-  // Dispatch: the two waves (config-major type pass, contract-major ranges)
-  // share one pool. CheckBatch stays serial-outer precisely so these inner
-  // waves never nest inside a pool worker.
-  const bool parallel_types = parallel && !type_rules_.empty() && n > 1;
-  const bool parallel_ranges = parallel && ranges.size() > 1;
-  ThreadPool* pool = options.pool;
-  std::unique_ptr<ThreadPool> owned_pool;
-  if ((parallel_types || parallel_ranges) && pool == nullptr) {
-    owned_pool = std::make_unique<ThreadPool>(
-        options.parallelism < 0 ? 0 : static_cast<size_t>(options.parallelism));
-    pool = owned_pool.get();
-  }
-  if (!type_rules_.empty()) {
-    if (parallel_types) {
-      pool->ParallelFor(n, check_types);
-    } else {
-      for (size_t ci = 0; ci < n; ++ci) {
-        check_types(ci);
-      }
-    }
-  }
-  if (parallel_ranges) {
-    pool->ParallelFor(ranges.size(), check_range);
-  } else {
-    for (size_t r = 0; r < ranges.size(); ++r) {
-      check_range(r);
-    }
-  }
-  if (deadline_hit.load(std::memory_order_relaxed)) {
-    throw DeadlineExceeded();
-  }
-
-  // Merge in the exact order the config-major scan used to emit: per config,
-  // type violations first, then the contract ranges ascending (each bucket is
-  // already in ascending contract order). Byte-identity with sequential
-  // checking depends on this.
-  for (size_t ci = 0; ci < n; ++ci) {
-    for (Violation& v : type_violations[ci]) {
+  for (std::vector<Violation>& config_violations : violations) {
+    for (Violation& v : config_violations) {
       result.violations.push_back(std::move(v));
-    }
-    for (auto& bucket : range_violations) {
-      if (ci < bucket.size()) {
-        for (Violation& v : bucket[ci]) {
-          result.violations.push_back(std::move(v));
-        }
-      }
     }
   }
 
@@ -812,7 +747,7 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
       per.line_numbers.reserve(index.own_line_count);
       per.kind_bits.reserve(index.own_line_count);
       for (uint32_t li = 0; li < index.own_line_count; ++li) {
-        uint8_t bits = cover[ci][li].load(std::memory_order_relaxed);
+        uint8_t bits = cover[ci][li];
         per.line_numbers.push_back(index.lines[li]->line_number);
         per.kind_bits.push_back(bits);
         if (bits != 0) {

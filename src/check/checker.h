@@ -122,16 +122,15 @@ struct CheckOptions {
   // False skips the (more expensive) coverage pass.
   bool measure_coverage = true;
 
-  // Hot loops poll the deadline; expiry raises DeadlineExceeded from the calling
-  // thread (never from a shared pool's worker, so one request's expiry cannot
-  // surface in another's Wait()).
+  // The scan polls the deadline once per tile and every 16 contracts; expiry
+  // raises DeadlineExceeded on the calling thread (ParallelFor delivers a
+  // block's exception to its own caller only, so one request's expiry cannot
+  // surface in another request sharing the pool).
   Deadline deadline;
 
-  // Shards the contract-major scan across worker threads (1 = serial, 0 or
-  // negative = hardware concurrency). When `pool` is given it is used instead
-  // of spawning a fresh pool (the service reuses one pool across requests); it
-  // must outlive the call.
-  int parallelism = 1;
+  // Caller-owned pool the scan's config blocks run on (at most four blocks per
+  // pool thread, each at least one tile); null scans the batch as one block on
+  // the calling thread. Reports are identical either way. Must outlive the call.
   ThreadPool* pool = nullptr;
 
   // Subsumption pruning (DESIGN.md §14): per-contract mask sized to the
@@ -157,12 +156,12 @@ class Checker {
   // (a "check/index" span) and runs the core below with default CheckOptions.
   CheckResult Check(const Dataset& dataset, bool measure_coverage = true) const;
 
-  // The batch-first core (DESIGN.md §12): a contract-major scan over pre-built
-  // per-config indexes — the artifact pipeline's Index stage (ArtifactStore, or
-  // the service's index cache) — that walks the contract set once, evaluating
-  // each contract against all N configs from a postings table built by a single
-  // pass over the batch's indexes, with scratch carved from bump arenas. The
-  // indexes must outlive the call.
+  // The batch-first core (DESIGN.md §12): a scan over pre-built per-config
+  // indexes — the artifact pipeline's Index stage (ArtifactStore, or the
+  // service's index cache) — that cuts the batch into contiguous config blocks
+  // and walks each block in tiles, evaluating every contract against a tile
+  // from a postings table built by a single pass over the batch's indexes, with
+  // scratch carved from bump arenas. The indexes must outlive the call.
   CheckResult Check(const std::vector<const ConfigIndex*>& indexes,
                     const CheckOptions& options) const;
 
@@ -183,9 +182,9 @@ class Checker {
   };
 
   // Runs every item and returns outcomes in item order. Items run sequentially
-  // on the calling thread while each item's scan uses its own parallelism
-  // options — nesting pool waves inside pool workers would deadlock a small
-  // pool, and per-item results must not reorder.
+  // on the calling thread while each item's scan uses its own `options.pool` —
+  // nesting pool waves inside pool workers would deadlock a small pool, and
+  // per-item results must not reorder.
   std::vector<BatchOutcome> CheckBatch(const std::vector<BatchItem>& items) const;
 
  private:

@@ -5,6 +5,7 @@
 #include <exception>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -30,6 +31,7 @@
 #include "src/util/hash.h"
 #include "src/util/io.h"
 #include "src/util/stopwatch.h"
+#include "src/util/thread_pool.h"
 #include "src/util/trace.h"
 
 namespace concord {
@@ -293,7 +295,9 @@ int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream&
   args.AddFlag("support", "minimum supporting configurations S", "5");
   args.AddFlag("confidence", "required holding fraction C", "0.96");
   args.AddFlag("score-threshold", "relational informativeness threshold", "4.0");
-  args.AddFlag("parallelism", "worker threads (0 = all cores)", "1");
+  args.AddFlag("parallelism",
+               "worker threads for per-config mining (1 = on the calling thread, "
+               "0 = all cores)", "1");
   args.AddFlag("disable", "disable a category: present|ordering|type|sequence|unique|relational");
   args.AddBoolFlag("no-minimize", "skip relational contract minimization (§3.6)");
   if (!args.Parse(argc, argv, 2)) {
@@ -311,7 +315,6 @@ int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream&
   options.score_threshold = args.GetDouble("score-threshold").value_or(4.0);
   options.constants = args.GetBool("constants");
   options.minimize = !args.GetBool("no-minimize");
-  options.parallelism = static_cast<int>(args.GetInt("parallelism").value_or(1));
   for (const std::string& category : args.GetAll("disable")) {
     if (category == "present") {
       options.learn_present = false;
@@ -374,6 +377,9 @@ int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream&
   }
 
   Stopwatch watch;
+  std::unique_ptr<ThreadPool> pool =
+      PoolForParallelism(static_cast<int>(args.GetInt("parallelism").value_or(1)));
+  options.pool = pool.get();
   Learner learner(options);
   LearnResult result = learner.Learn(inputs.dataset);
   result.set.embed_context = embed;
@@ -454,7 +460,9 @@ int RunCheck(int argc, const char* const* argv, std::ostream& out, std::ostream&
   args.AddFlag("html-out", "write the HTML violation report to this file");
   args.AddFlag("coverage-out", "write the per-line coverage listing to this file (§3.9)");
   args.AddFlag("suppress", "file of contract keys to suppress (operator feedback, §4)");
-  args.AddFlag("parallelism", "worker threads for checking (0 = all cores)", "1");
+  args.AddFlag("parallelism",
+               "worker threads for the check scan, sharded by config blocks "
+               "(1 = on the calling thread, 0 = all cores)", "1");
   args.AddBoolFlag("no-coverage", "skip coverage measurement (§3.9)");
   args.AddBoolFlag("prune-subsumed",
                    "skip subsumption-dominated contracts in the violation scan "
@@ -485,7 +493,8 @@ int RunCheck(int argc, const char* const* argv, std::ostream& out, std::ostream&
   }
 
   Stopwatch watch;
-  int parallelism = static_cast<int>(args.GetInt("parallelism").value_or(1));
+  std::unique_ptr<ThreadPool> pool =
+      PoolForParallelism(static_cast<int>(args.GetInt("parallelism").value_or(1)));
   Checker checker(&*set, &inputs.dataset.patterns);
   std::vector<ConfigIndex> built;
   {
@@ -500,7 +509,7 @@ int RunCheck(int argc, const char* const* argv, std::ostream& out, std::ostream&
   CheckOptions check_options;
   check_options.measure_coverage = !args.GetBool("no-coverage");
   check_options.deadline = deadline;
-  check_options.parallelism = parallelism;
+  check_options.pool = pool.get();
   const bool prune = args.GetBool("prune-subsumed");
   AnalysisResult analysis;
   if (prune) {
@@ -669,7 +678,9 @@ int RunServe(int argc, const char* const* argv, std::ostream& out, std::ostream&
                "also (or only) serve on this TCP host:port; host '*' binds all "
                "interfaces, port 0 picks an ephemeral port");
   args.AddFlag("lexer", "file with custom lexer token definitions (`name regex` lines)");
-  args.AddFlag("parallelism", "worker threads for batched checking (0 = all cores)", "0");
+  args.AddFlag("parallelism",
+               "worker threads of the one pool that runs checks, learns, updates "
+               "and content hashing (1 = on the request thread, 0 = all cores)", "0");
   args.AddFlag("cache-size", "parsed-config LRU entries per contract set", "256");
   args.AddFlag("max-line-bytes", "socket mode: cap on one NDJSON request line", "16777216");
   args.AddFlag("backlog", "socket mode: listen(2) backlog", "8");

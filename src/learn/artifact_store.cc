@@ -1,7 +1,7 @@
 #include "src/learn/artifact_store.h"
 
-#include <algorithm>
 #include <atomic>
+#include <exception>
 
 #include "src/util/cancellation.h"
 #include "src/util/hash.h"
@@ -77,7 +77,7 @@ void ArtifactStore::SetMetadata(const std::vector<std::string>& texts) {
   }
 }
 
-void ArtifactStore::Refresh(const LearnOptions& options, ThreadPool* pool) {
+void ArtifactStore::Refresh(const LearnOptions& options) {
   ThrowIfExpired(options.deadline);
   const uint8_t needed = SummaryCategoriesFor(options);
 
@@ -105,11 +105,9 @@ void ArtifactStore::Refresh(const LearnOptions& options, ThreadPool* pool) {
     return;
   }
 
-  // Stale configs are independent; shard them. Deadline expiry is flagged, not
-  // thrown, inside tasks (the service shares one pool across requests) and
-  // re-raised afterwards. Artifacts finished before expiry stay cached, so a
-  // retry only faces the remainder.
-  std::atomic<bool> deadline_hit{false};
+  // Stale configs are independent; shard them. Artifacts finished before a
+  // deadline expiry stay cached, so a retry only faces the remainder.
+  //
   // Stage attribution happens per task: index/mine work interleaves inside each
   // worker, so the totals are accumulated out-of-band and folded into the
   // collector once the wave finishes (clock reads only when tracing is on).
@@ -118,9 +116,6 @@ void ArtifactStore::Refresh(const LearnOptions& options, ThreadPool* pool) {
   std::atomic<uint64_t> index_micros{0};
   std::atomic<uint64_t> mine_micros{0};
   auto refresh_one = [&](size_t wi) {
-    if (deadline_hit.load(std::memory_order_relaxed)) {
-      return;
-    }
     Entry* entry = stale[wi];
     if (!entry->index_valid) {
       uint64_t start = trace_on ? tracer.NowMicros() : 0;
@@ -135,8 +130,7 @@ void ArtifactStore::Refresh(const LearnOptions& options, ThreadPool* pool) {
       uint64_t start = trace_on ? tracer.NowMicros() : 0;
       ConfigSummary summary;
       if (!SummarizeConfig(table_, entry->index, needed, options.deadline, &summary)) {
-        deadline_hit.store(true, std::memory_order_relaxed);
-        return;
+        throw DeadlineExceeded();
       }
       entry->summary = std::move(summary);
       entry->summary_valid = true;
@@ -148,19 +142,12 @@ void ArtifactStore::Refresh(const LearnOptions& options, ThreadPool* pool) {
     }
   };
 
-  size_t workers = 1;
-  if (options.parallelism != 1 && stale.size() > 1) {
-    workers = stale.size();  // ParallelFor chunks; the pool caps real threads.
-  }
-  if (workers <= 1) {
-    for (size_t wi = 0; wi < stale.size(); ++wi) {
-      refresh_one(wi);
-    }
-  } else if (pool != nullptr) {
-    pool->ParallelFor(stale.size(), refresh_one);
-  } else {
-    ThreadPool local(static_cast<size_t>(std::max(0, options.parallelism)));
-    local.ParallelFor(stale.size(), refresh_one);
+  // A wave cut short by the deadline still bills the work it did.
+  std::exception_ptr error;
+  try {
+    ParallelFor(options.pool, stale.size(), refresh_one);
+  } catch (...) {
+    error = std::current_exception();
   }
   if (trace_on) {
     tracer.AddStageTime("learn", "index",
@@ -170,8 +157,8 @@ void ArtifactStore::Refresh(const LearnOptions& options, ThreadPool* pool) {
                         mine_micros.load(std::memory_order_relaxed),
                         stale.size());
   }
-  if (deadline_hit.load(std::memory_order_relaxed)) {
-    throw DeadlineExceeded();
+  if (error) {
+    std::rethrow_exception(error);
   }
 }
 

@@ -21,8 +21,8 @@
 // aggregation code over the same summaries, merged in name order).
 //
 // The store is not internally synchronized: callers serialize mutations (the
-// service guards each resident dataset with a mutex). Refresh() may use a thread
-// pool internally, but reads the table and entries only.
+// service guards each resident dataset with a mutex). Refresh() may fan out on
+// the caller's pool, but reads the table and entries only.
 #ifndef SRC_LEARN_ARTIFACT_STORE_H_
 #define SRC_LEARN_ARTIFACT_STORE_H_
 
@@ -38,8 +38,6 @@
 #include "src/pattern/parser.h"
 
 namespace concord {
-
-class ThreadPool;
 
 // Stage-level cache accounting. A Refresh() counts one hit or one miss per
 // resident config per stage; Upsert counts a parse hit (unchanged text) or miss
@@ -83,11 +81,11 @@ class ArtifactStore {
   void SetMetadata(const std::vector<std::string>& texts);
 
   // Brings every Index and Mine artifact up to date for the categories
-  // `options` enables, sharding stale configs across `pool` (or an internal
-  // pool per `options.parallelism`; 1 = serial). Counts one hit/miss per
-  // config per stage. Raises DeadlineExceeded on `options.deadline` expiry,
-  // leaving refreshed artifacts cached (a retry resumes where it stopped).
-  void Refresh(const LearnOptions& options, ThreadPool* pool = nullptr);
+  // `options` enables, sharding stale configs across `options.pool` (null =
+  // serial). Counts one hit/miss per config per stage. Raises DeadlineExceeded
+  // on `options.deadline` expiry, leaving refreshed artifacts cached (a retry
+  // resumes where it stopped).
+  void Refresh(const LearnOptions& options);
 
   // ---- Read side (valid after Refresh; name-sorted, so deterministic). ----
 

@@ -1,7 +1,6 @@
 #include "src/learn/learner.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "src/learn/artifact_store.h"
 #include "src/learn/index.h"
@@ -114,35 +113,17 @@ LearnResult Learner::Learn(const Dataset& dataset) const {
   // Configurations are independent; shard the summarization (the dominant cost)
   // across the pool. The batch path knows the whole dataset up front, so it can
   // hand the relational summarizer the global-support pre-filter.
-  //
-  // Deadline expiry inside tasks is flagged and re-raised from the calling
-  // thread after the parallel section (pool tasks must not throw).
   std::vector<ConfigSummary> summaries;
   {
     TraceSpan span("learn", "mine");
     summaries.resize(indexes.size());
-    std::atomic<bool> deadline_hit{false};
-    auto summarize = [&](size_t ci) {
-      if (deadline_hit.load(std::memory_order_relaxed)) {
-        return;
-      }
+    ParallelFor(options_.pool, indexes.size(), [&](size_t ci) {
       if (!SummarizeConfig(dataset.patterns, indexes[ci], categories,
                            options_.deadline, &summaries[ci], &config_counts,
                            options_.support)) {
-        deadline_hit.store(true, std::memory_order_relaxed);
+        throw DeadlineExceeded();
       }
-    };
-    if (options_.parallelism != 1 && indexes.size() > 1) {
-      ThreadPool pool(static_cast<size_t>(std::max(0, options_.parallelism)));
-      pool.ParallelFor(indexes.size(), summarize);
-    } else {
-      for (size_t ci = 0; ci < indexes.size(); ++ci) {
-        summarize(ci);
-      }
-    }
-    if (deadline_hit.load(std::memory_order_relaxed)) {
-      throw DeadlineExceeded();
-    }
+    });
   }
 
   std::vector<Contract> all;

@@ -6,6 +6,8 @@
 
 namespace concord {
 
+class ThreadPool;
+
 struct LearnOptions {
   // Support S: minimum number of configurations in which a pattern must appear before
   // any contract about it is considered (default 5 per the paper).
@@ -35,8 +37,10 @@ struct LearnOptions {
   // Apply relational contract minimization (§3.6).
   bool minimize = true;
 
-  // Worker threads for the parallelizable phases (0 = hardware concurrency).
-  int parallelism = 1;
+  // Runtime-only, like `deadline` (never persisted or part of a learn's
+  // identity): the caller-owned pool that per-config summarization shards
+  // across; null runs it on the caller. Must outlive the learn.
+  ThreadPool* pool = nullptr;
 
   // Wall-clock budget for the run; hot loops poll it and raise DeadlineExceeded
   // (a structured `deadline_exceeded` error upstream) instead of running away.

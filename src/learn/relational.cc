@@ -1,10 +1,8 @@
 #include "src/learn/relational.h"
 
 #include <algorithm>
-#include <atomic>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 
 #include "src/util/cancellation.h"
@@ -456,43 +454,17 @@ std::vector<Contract> MineRelationalWithStats(const Dataset& dataset,
                                               RelationalMiningStats* stats) {
   std::vector<uint32_t> config_counts = CountConfigsPerPattern(dataset, indexes);
 
-  // Configurations are summarized independently; with parallelism requested, the
-  // per-config summaries shard across a pool and merge in configuration order, so
-  // the parallel result is identical to the serial one.
-  //
-  // Deadline expiry is flagged, not thrown, inside workers; the calling thread
-  // re-raises after the parallel section so partially merged state never escapes.
+  // Configurations are summarized independently, on the caller's pool when
+  // there is one, and merge in configuration order, so the parallel result is
+  // identical to the serial one.
   std::vector<ConfigSummary> summaries(indexes.size());
-  std::atomic<bool> deadline_hit{false};
-  auto summarize = [&](size_t ci) {
-    if (deadline_hit.load(std::memory_order_relaxed)) {
-      return;
-    }
+  ParallelFor(options.pool, indexes.size(), [&](size_t ci) {
     if (!SummarizeRelationalConfig(dataset.patterns, indexes[ci], &config_counts,
                                    options.support, options.deadline,
                                    &summaries[ci].relational)) {
-      deadline_hit.store(true, std::memory_order_relaxed);
+      throw DeadlineExceeded();
     }
-  };
-
-  size_t workers = 1;
-  if (options.parallelism != 1 && indexes.size() > 1) {
-    workers = options.parallelism <= 0
-                  ? std::max<size_t>(1, std::thread::hardware_concurrency())
-                  : static_cast<size_t>(options.parallelism);
-    workers = std::min(workers, indexes.size());
-  }
-  if (workers <= 1) {
-    for (size_t ci = 0; ci < indexes.size(); ++ci) {
-      summarize(ci);
-    }
-  } else {
-    ThreadPool pool(workers);
-    pool.ParallelFor(indexes.size(), summarize);
-  }
-  if (deadline_hit.load(std::memory_order_relaxed)) {
-    throw DeadlineExceeded();
-  }
+  });
 
   std::vector<const ConfigSummary*> views;
   views.reserve(summaries.size());

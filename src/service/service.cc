@@ -138,7 +138,7 @@ JsonValue ErrorEnvelope(ErrorCode code, const std::string& message,
 Service::Service(ServiceOptions options)
     : options_(options),
       store_(options.cache_capacity),
-      pool_(options.parallelism <= 0 ? 0 : static_cast<size_t>(options.parallelism)) {
+      pool_(PoolForParallelism(options.parallelism)) {
   // Per-stage accounting (cheap: coarse spans only) feeds the `metrics` verb's
   // concord_stage_* counters for as long as the service lives. Ring-buffer
   // event collection stays off unless something else (--profile) enables it.
@@ -442,7 +442,7 @@ JsonValue Service::HandleCheck(const JsonValue& request, bool coverage_listing) 
   }
 
   // Content hashing fans out across the pool; config texts can be large.
-  pool_.ParallelFor(items.size(), [&items](size_t i) {
+  ParallelFor(pool_.get(), items.size(), [&items](size_t i) {
     items[i].key = ContentKey(*items[i].name, *items[i].text);
   });
 
@@ -556,8 +556,7 @@ JsonValue Service::HandleCheck(const JsonValue& request, bool coverage_listing) 
   CheckOptions check_options;
   check_options.measure_coverage = measure_coverage;
   check_options.deadline = deadline;
-  check_options.parallelism = static_cast<int>(pool_.num_threads());
-  check_options.pool = &pool_;
+  check_options.pool = pool_.get();
   // Subsumption pruning (DESIGN.md §14). The checker itself refuses the mask
   // when coverage is on.
   if (options_.prune_subsumed && !entry->prune_mask.empty()) {
@@ -865,7 +864,7 @@ JsonValue Service::HandleLearn(const JsonValue& request) {
 
   LearnOptions options;
   MergeLearnOptions(request, &options);
-  options.parallelism = static_cast<int>(pool_.num_threads());
+  options.pool = pool_.get();
   options.deadline = RequestDeadline(request);
 
   ParseOptions parse_options;
@@ -1106,7 +1105,7 @@ std::shared_ptr<Service::ResidentDataset> Service::HydrateDataset(
   MutexLock lock(dataset->mu);
   dataset->options = info->options;
   dataset->options.deadline = Deadline::Never();
-  dataset->options.parallelism = static_cast<int>(pool_.num_threads());
+  dataset->options.pool = pool_.get();
   // Blobs replay in name order; learning aggregates in name order regardless of
   // insertion history, so rehydrated relearns stay bit-identical to the
   // original process's (the store oracle).

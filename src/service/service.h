@@ -63,7 +63,9 @@
 namespace concord {
 
 struct ServiceOptions {
-  int parallelism = 0;          // Worker threads for batched checking (0 = all cores).
+  // Size of the one pool the service runs checks, learns, updates and content
+  // hashing on (0 = all cores; 1 = no pool, everything on the request thread).
+  int parallelism = 0;
   size_t cache_capacity = 256;  // Parsed-config LRU entries per contract set.
   // Directory of the durable artifact store (DESIGN.md §10). Empty disables
   // persistence; non-empty warm-restarts every persisted contract set at
@@ -201,7 +203,7 @@ class Service {
   uint64_t lexer_key_ = 0;
   ContractStore store_;
   std::unique_ptr<DurableStore> durable_;  // Null without a store_dir.
-  ThreadPool pool_;
+  std::unique_ptr<ThreadPool> pool_;  // Null when options_.parallelism is 1.
   MetricsRegistry metrics_;
   // Guards the map, not the datasets (see ResidentDataset).
   Mutex datasets_mu_;

@@ -71,7 +71,7 @@ struct PersistedDatasetInfo {
   uint64_t contracts_key = 0;
   int64_t contract_count = 0;
   // The options the contracts were learned with; a warm restart must relearn
-  // with exactly these for bit-identity. Deadline/parallelism are runtime-only
+  // with exactly these for bit-identity. Deadline and pool are runtime-only
   // and not persisted.
   LearnOptions options;
   // The parse-side inputs the contracts also depend on: the content key of the

@@ -110,6 +110,23 @@ void ThreadPool::ParallelFor(size_t count, const std::function<void(size_t)>& fn
   }
 }
 
+std::unique_ptr<ThreadPool> PoolForParallelism(int parallelism) {
+  if (parallelism == 1) {
+    return nullptr;
+  }
+  return std::make_unique<ThreadPool>(parallelism <= 0 ? 0 : static_cast<size_t>(parallelism));
+}
+
+void ParallelFor(ThreadPool* pool, size_t count, const std::function<void(size_t)>& fn) {
+  if (pool == nullptr || count <= 1) {
+    for (size_t i = 0; i < count; ++i) {
+      fn(i);
+    }
+    return;
+  }
+  pool->ParallelFor(count, fn);
+}
+
 void ThreadPool::WorkerLoop() {
   while (true) {
     std::function<void()> task;

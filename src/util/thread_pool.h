@@ -1,8 +1,12 @@
 // Fixed-size worker pool used to parallelize contract learning and checking.
 //
-// The paper's tool exposes a --parallelism flag (§4); both phases shard work per
-// contract category and per configuration file. The pool is deliberately simple: a
-// mutex-guarded deque and condition variables, no work stealing.
+// The paper's tool exposes a --parallelism flag (§4) and shards work per
+// configuration file. The tree has one way to run such work: the caller that owns
+// the run (a CLI command, or the Service for its whole lifetime) builds at most one
+// pool with PoolForParallelism and hands a non-owning `ThreadPool*` to the layers
+// below, which fan out through the free ParallelFor. A null pool means "run on the
+// caller". The pool is deliberately simple: a mutex-guarded deque and condition
+// variables, no work stealing.
 #ifndef SRC_UTIL_THREAD_POOL_H_
 #define SRC_UTIL_THREAD_POOL_H_
 
@@ -10,6 +14,7 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -19,7 +24,7 @@ namespace concord {
 
 class ThreadPool {
  public:
-  // Spawns `num_threads` workers; 0 means std::thread::hardware_concurrency().
+  // Spawns `num_threads` workers; 0 means one per hardware thread.
   explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
 
@@ -59,6 +64,16 @@ class ThreadPool {
   // Submit/Wait path only; ParallelFor captures exceptions per wave.
   std::exception_ptr first_error_ CONCORD_GUARDED_BY(mu_);
 };
+
+// The pool for a `--parallelism` setting: null for 1 (every stage runs on the
+// caller), else a pool of that many workers (0 or negative = all cores).
+std::unique_ptr<ThreadPool> PoolForParallelism(int parallelism);
+
+// Runs `fn(i)` for i in [0, count): on `pool` when there is one and count > 1,
+// else inline on the caller. Either way the first exception `fn` throws reaches
+// this caller (and no other), so tasks may call ThrowIfExpired directly. Must not
+// be called from a task of the same pool: a nested wave can starve it.
+void ParallelFor(ThreadPool* pool, size_t count, const std::function<void(size_t)>& fn);
 
 }  // namespace concord
 

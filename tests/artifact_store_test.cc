@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/contracts/contract_io.h"
@@ -11,6 +12,7 @@
 #include "src/datagen/wan_gen.h"
 #include "src/learn/learner.h"
 #include "src/util/cancellation.h"
+#include "src/util/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace concord {
@@ -197,13 +199,49 @@ TEST(ArtifactStore, ParallelRefreshMatchesSerial) {
   LearnOptions serial;
   serial.support = 3;
   LearnOptions parallel = serial;
-  parallel.parallelism = 4;
+  ThreadPool pool(4);
+  parallel.pool = &pool;
 
   ArtifactStore store_serial(&lexer, ParseOptions{});
   ArtifactStore store_parallel(&lexer, ParseOptions{});
   LoadCorpus(corpus, &store_serial);
   LoadCorpus(corpus, &store_parallel);
   EXPECT_EQ(LearnFromStore(store_serial, serial), LearnFromStore(store_parallel, parallel));
+}
+
+// Concurrent learns share one pool, as serve learn/update requests do. An
+// expired learn throws DeadlineExceeded on its own thread, and the live one
+// still equals the serial learn.
+TEST(ArtifactStore, ExpiredLearnOnASharedPoolFailsOnlyItself) {
+  GeneratedCorpus corpus = GenerateEdge(EdgeOptions{});
+  Lexer lexer;
+  LearnOptions serial;
+  serial.support = 3;
+  const std::string expected = LearnFromScratch(corpus, serial, lexer);
+
+  ThreadPool pool(4);
+  LearnOptions live = serial;
+  live.pool = &pool;
+  LearnOptions expired = live;
+  expired.deadline = Deadline::After(0);
+  for (int round = 0; round < 4; ++round) {
+    ArtifactStore live_store(&lexer, ParseOptions{});
+    ArtifactStore expired_store(&lexer, ParseOptions{});
+    LoadCorpus(corpus, &live_store);
+    LoadCorpus(corpus, &expired_store);
+    bool expired_threw = false;
+    std::thread expired_caller([&] {
+      try {
+        Learner(expired).Learn(expired_store);
+      } catch (const DeadlineExceeded&) {
+        expired_threw = true;
+      }
+    });
+    std::string learned = LearnFromStore(live_store, live);
+    expired_caller.join();
+    EXPECT_TRUE(expired_threw) << "round " << round;
+    EXPECT_EQ(learned, expected) << "round " << round;
+  }
 }
 
 }  // namespace

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "src/contracts/contract_io.h"
 #include "src/learn/index.h"
 #include "src/learn/learner.h"
 #include "src/util/cancellation.h"
 #include "src/util/error_code.h"
 #include "src/util/strings.h"
+#include "src/util/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace concord {
@@ -230,37 +233,6 @@ TEST(Checker, TypeViolationFlagged) {
   EXPECT_GE(CountViolationsOfKind(result, *loaded, ContractKind::kType), 1u);
 }
 
-TEST(Checker, ParallelCheckMatchesSerial) {
-  LearnedWorld world = LearnWorld();
-  std::string bad1 = ReplaceAll(GoodConfig(50), "seq 10 permit 10.14.51.34/32",
-                                "seq 10 permit 10.14.99.34/32");
-  std::string bad2 = ReplaceAll(GoodConfig(51), "vlan 1867", "vlan 1868");
-  Dataset tests = ParseTests(&world, {GoodConfig(49), bad1, bad2, GoodConfig(52)});
-
-  std::vector<ConfigIndex> indexes = BuildIndexes(tests);
-  std::vector<const ConfigIndex*> ptrs;
-  for (const ConfigIndex& index : indexes) {
-    ptrs.push_back(&index);
-  }
-  Checker checker(&world.set, &tests.patterns);
-  CheckOptions serial;
-  serial.parallelism = 1;
-  CheckOptions parallel;
-  parallel.parallelism = 4;
-  CheckResult a = checker.Check(ptrs, serial);
-  CheckResult b = checker.Check(ptrs, parallel);
-
-  ASSERT_EQ(a.violations.size(), b.violations.size());
-  for (size_t i = 0; i < a.violations.size(); ++i) {
-    EXPECT_EQ(a.violations[i].config, b.violations[i].config);
-    EXPECT_EQ(a.violations[i].line_number, b.violations[i].line_number);
-    EXPECT_EQ(a.violations[i].message, b.violations[i].message);
-    EXPECT_EQ(a.violations[i].contract_index, b.violations[i].contract_index);
-  }
-  EXPECT_EQ(a.covered_lines, b.covered_lines);
-  EXPECT_EQ(a.covered_by_kind, b.covered_by_kind);
-}
-
 bool SameResult(const CheckResult& a, const CheckResult& b) {
   if (a.violations.size() != b.violations.size()) {
     return false;
@@ -273,9 +245,141 @@ bool SameResult(const CheckResult& a, const CheckResult& b) {
       return false;
     }
   }
+  if (a.per_config.size() != b.per_config.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.per_config.size(); ++i) {
+    if (a.per_config[i].config != b.per_config[i].config ||
+        a.per_config[i].line_numbers != b.per_config[i].line_numbers ||
+        a.per_config[i].kind_bits != b.per_config[i].kind_bits) {
+      return false;
+    }
+  }
   return a.configs_checked == b.configs_checked &&
          a.total_lines == b.total_lines && a.covered_lines == b.covered_lines &&
          a.covered_by_kind == b.covered_by_kind;
+}
+
+// A world whose contracts also forbid a prefix on the loopback address line,
+// so a batch exercises the checker's per-config type pass as well.
+LearnedWorld LearnWorldWithTypeRule() {
+  LearnedWorld world = LearnWorld();
+  const ParsedLine& address = world.train.configs[0].lines[2];  // ip address.
+  Contract c;
+  c.kind = ContractKind::kType;
+  c.untyped_pattern = world.train.patterns.Get(address.pattern).untyped;
+  c.param = 0;
+  c.invalid_type = ValueType::kPfx4;
+  world.set.contracts.push_back(c);
+  return world;
+}
+
+// `n` test configs cycling through a broken relation, a sequence gap, a
+// missing line, a reordered block, a reused hostname, a mistyped address and a
+// clean config.
+std::vector<std::string> MixedBatch(int n) {
+  std::vector<std::string> texts;
+  for (int i = 0; i < n; ++i) {
+    const int id = 100 + i;
+    const std::string ip = "10.14." + std::to_string(id + 1);
+    std::string text = GoodConfig(id);
+    switch (i % 7) {
+      case 0:
+        text = ReplaceAll(text, "seq 10 permit " + ip + ".34/32", "seq 10 permit 10.14.99.34/32");
+        break;
+      case 1:
+        text = ReplaceAll(text, "seq 30", "seq 35");
+        break;
+      case 2:
+        text = ReplaceAll(text, "ip prefix-list loopback\n", "");
+        break;
+      case 3:
+        text = ReplaceAll(text, "interface Loopback0\n", "interface Loopback0\nbanner something\n");
+        break;
+      case 4:
+        text = ReplaceAll(text, "hostname DEV" + std::to_string(id), "hostname DEV100");
+        break;
+      case 5:
+        text = ReplaceAll(text, "ip address " + ip + ".34", "ip address " + ip + ".0/24");
+        break;
+      default:
+        break;
+    }
+    texts.push_back(text);
+  }
+  return texts;
+}
+
+std::vector<const ConfigIndex*> Pointers(const std::vector<ConfigIndex>& indexes) {
+  std::vector<const ConfigIndex*> ptrs;
+  for (const ConfigIndex& index : indexes) {
+    ptrs.push_back(&index);
+  }
+  return ptrs;
+}
+
+// The scan shards the batch into config blocks on a pool. Batch sizes straddle
+// one tile (32 configs) and span several blocks; every violation, its order,
+// and every config's per-line coverage bits must equal the serial scan's.
+class ParallelCheck : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParallelCheck, MatchesSerial) {
+  LearnedWorld world = LearnWorldWithTypeRule();
+  Dataset tests = ParseTests(&world, MixedBatch(GetParam()));
+  std::vector<ConfigIndex> indexes = BuildIndexes(tests);
+  std::vector<const ConfigIndex*> ptrs = Pointers(indexes);
+  Checker checker(&world.set, &tests.patterns);
+  ThreadPool pool(4);
+  CheckOptions parallel;
+  parallel.pool = &pool;
+  CheckResult serial = checker.Check(ptrs, CheckOptions{});
+  CheckResult sharded = checker.Check(ptrs, parallel);
+
+  EXPECT_TRUE(SameResult(serial, sharded));
+  ASSERT_EQ(serial.per_config.size(), static_cast<size_t>(GetParam()));
+  EXPECT_GT(serial.covered_lines, 0u);
+  if (GetParam() >= 7) {
+    for (ContractKind kind : {ContractKind::kPresent, ContractKind::kOrdering,
+                              ContractKind::kType, ContractKind::kSequence,
+                              ContractKind::kUnique, ContractKind::kRelational}) {
+      EXPECT_GE(CountViolationsOfKind(serial, world.set, kind), 1u)
+          << ContractKindName(kind);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchSizes, ParallelCheck, ::testing::Values(1, 2, 31, 33, 70));
+
+// Concurrent checks share one pool, as serve requests do. An expired check
+// throws DeadlineExceeded on its own thread, and the live one still equals the
+// serial result.
+TEST(Checker, ExpiredCheckOnASharedPoolFailsOnlyItself) {
+  LearnedWorld world = LearnWorldWithTypeRule();
+  Dataset tests = ParseTests(&world, MixedBatch(70));
+  std::vector<ConfigIndex> indexes = BuildIndexes(tests);
+  std::vector<const ConfigIndex*> ptrs = Pointers(indexes);
+  Checker checker(&world.set, &tests.patterns);
+  CheckResult serial = checker.Check(ptrs, CheckOptions{});
+
+  ThreadPool pool(4);
+  CheckOptions live;
+  live.pool = &pool;
+  CheckOptions expired = live;
+  expired.deadline = Deadline::After(0);
+  for (int round = 0; round < 4; ++round) {
+    bool expired_threw = false;
+    std::thread expired_caller([&] {
+      try {
+        checker.Check(ptrs, expired);
+      } catch (const DeadlineExceeded&) {
+        expired_threw = true;
+      }
+    });
+    CheckResult result = checker.Check(ptrs, live);
+    expired_caller.join();
+    EXPECT_TRUE(expired_threw) << "round " << round;
+    EXPECT_TRUE(SameResult(serial, result)) << "round " << round;
+  }
 }
 
 // The type-rule grouping and pattern-slot table are compiled once in the

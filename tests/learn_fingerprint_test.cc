@@ -18,6 +18,7 @@
 #include "src/datagen/generator.h"
 #include "src/learn/learner.h"
 #include "src/util/hash.h"
+#include "src/util/thread_pool.h"
 
 namespace concord {
 namespace {
@@ -29,7 +30,7 @@ struct FingerprintCase {
   uint64_t expected;
 };
 
-uint64_t LearnedFingerprint(const FingerprintCase& c, int parallelism) {
+uint64_t LearnedFingerprint(const FingerprintCase& c, ThreadPool* pool) {
   Knobs knobs;
   for (const auto& [key, value] : c.knobs) {
     knobs.Set(key, value);
@@ -37,7 +38,7 @@ uint64_t LearnedFingerprint(const FingerprintCase& c, int parallelism) {
   GeneratedCorpus corpus = GenerateFamily(GeneratorRegistry::Global(), c.family, c.seed, knobs);
   Dataset dataset = ParseCorpus(corpus);
   LearnOptions options;
-  options.parallelism = parallelism;
+  options.pool = pool;
   LearnResult result = Learner(options).Learn(dataset);
   return Fnv1a64(SerializeContracts(result.set, dataset.patterns));
 }
@@ -73,13 +74,14 @@ std::string Describe(const FingerprintCase& c) {
 
 TEST(LearnFingerprint, EveryFamilyMatchesPinnedBytes) {
   for (const FingerprintCase& c : Cases()) {
-    EXPECT_EQ(LearnedFingerprint(c, /*parallelism=*/1), c.expected) << Describe(c);
+    EXPECT_EQ(LearnedFingerprint(c, /*pool=*/nullptr), c.expected) << Describe(c);
   }
 }
 
 TEST(LearnFingerprint, ParallelLearnMatchesPinnedBytes) {
+  ThreadPool pool(4);
   for (const FingerprintCase& c : Cases()) {
-    EXPECT_EQ(LearnedFingerprint(c, /*parallelism=*/4), c.expected) << Describe(c);
+    EXPECT_EQ(LearnedFingerprint(c, &pool), c.expected) << Describe(c);
   }
 }
 

@@ -20,6 +20,7 @@
 #include "src/learn/relational.h"
 #include "src/util/io.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace concord {
 namespace {
@@ -173,7 +174,8 @@ TEST_P(PipelineProperty, ParallelMiningMatchesSerial) {
   auto indexes = BuildIndexes(dataset);
   LearnOptions serial = Options();
   LearnOptions parallel = Options();
-  parallel.parallelism = 4;
+  ThreadPool pool(4);
+  parallel.pool = &pool;
   auto a = MineRelational(dataset, indexes, serial);
   auto b = MineRelational(dataset, indexes, parallel);
   std::set<std::string> ka, kb;

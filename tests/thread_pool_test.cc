@@ -148,6 +148,28 @@ TEST(ThreadPool, ConcurrentParallelForWavesAreIsolated) {
   EXPECT_THROW(std::rethrow_exception(slow_error), std::runtime_error);
 }
 
+TEST(ThreadPool, FreeParallelForRunsInlineWithoutAPool) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> seen(5, 0);
+  ParallelFor(nullptr, seen.size(), [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    seen[i] = 1;
+  });
+  EXPECT_EQ(std::accumulate(seen.begin(), seen.end(), 0), 5);
+  EXPECT_THROW(ParallelFor(nullptr, 3, [](size_t) { throw std::runtime_error("boom"); }),
+               std::runtime_error);
+
+  ThreadPool pool(2);
+  std::atomic<int> sum{0};
+  ParallelFor(&pool, 100, [&sum](size_t i) { sum.fetch_add(static_cast<int>(i)); });
+  EXPECT_EQ(sum.load(), 4950);
+}
+
+TEST(ThreadPool, ParallelismOneBuildsNoPool) {
+  EXPECT_EQ(PoolForParallelism(1), nullptr);
+  EXPECT_EQ(PoolForParallelism(3)->num_threads(), 3u);
+}
+
 TEST(ThreadPool, OnlyFirstExceptionIsKept) {
   ThreadPool pool(4);
   for (int i = 0; i < 10; ++i) {
