@@ -308,6 +308,8 @@ int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream&
     return 2;
   }
   ProfileSession profile(args.GetBool("profile"), args.Get("trace-out"), &out, &err);
+  // Encloses load, parse, learn and write, so the rows under it tile the run.
+  TraceSpan wall_span("learn", "wall");
 
   LearnOptions options;
   options.support = static_cast<int>(args.GetInt("support").value_or(5));
@@ -476,6 +478,8 @@ int RunCheck(int argc, const char* const* argv, std::ostream& out, std::ostream&
     return 2;
   }
   ProfileSession profile(args.GetBool("profile"), args.Get("trace-out"), &out, &err);
+  // Encloses load, parse, check and write, so the rows under it tile the run.
+  TraceSpan wall_span("check", "wall");
 
   LoadedInputs inputs;
   Deadline deadline = DeadlineFromFlags(args);

@@ -58,14 +58,18 @@ bool LooksLikeYamlLine(std::string_view trimmed) {
   return colon + 1 == trimmed.size() || trimmed[colon + 1] == ' ';
 }
 
-EmbeddedFile EmbedIndent(const std::vector<std::string>& lines, bool yaml) {
+EmbeddedFile EmbedIndent(const std::vector<std::string_view>& lines, bool yaml) {
   EmbeddedFile out;
   out.format = yaml ? FormatCategory::kYaml : FormatCategory::kIndent;
-  struct Frame {
+  out.lines.reserve(lines.size());
+  out.frames.reserve(lines.size());
+  // Open blocks, innermost last: each line is a frame for the lines indented
+  // under it.
+  struct Open {
     int indent;
-    std::string text;
+    int32_t frame;
   };
-  std::vector<Frame> stack;
+  std::vector<Open> stack;
   for (size_t i = 0; i < lines.size(); ++i) {
     std::string_view raw = lines[i];
     std::string_view trimmed = Trim(raw);
@@ -87,31 +91,23 @@ EmbeddedFile EmbedIndent(const std::vector<std::string>& lines, bool yaml) {
     while (!stack.empty() && stack.back().indent >= indent) {
       stack.pop_back();
     }
-    ContextLine line;
-    line.line_number = static_cast<int>(i) + 1;
-    line.text = std::string(trimmed);
-    line.parents.reserve(stack.size());
-    for (const Frame& frame : stack) {
-      line.parents.push_back(frame.text);
-    }
-    out.lines.push_back(std::move(line));
-    stack.push_back(Frame{indent, std::string(trimmed)});
+    int32_t parent = stack.empty() ? kNoFrame : stack.back().frame;
+    out.lines.push_back(ContextLine{trimmed, parent, static_cast<int>(i) + 1});
+    stack.push_back(Open{indent, static_cast<int32_t>(out.frames.size())});
+    out.frames.push_back(EmbedFrame{trimmed, parent});
   }
   return out;
 }
 
-EmbeddedFile EmbedFlat(const std::vector<std::string>& lines) {
+EmbeddedFile EmbedFlat(const std::vector<std::string_view>& lines) {
   EmbeddedFile out;
   out.format = FormatCategory::kFlat;
+  out.lines.reserve(lines.size());
   for (size_t i = 0; i < lines.size(); ++i) {
     std::string_view trimmed = Trim(lines[i]);
-    if (trimmed.empty()) {
-      continue;
+    if (!trimmed.empty()) {
+      out.lines.push_back(ContextLine{trimmed, kNoFrame, static_cast<int>(i) + 1});
     }
-    ContextLine line;
-    line.line_number = static_cast<int>(i) + 1;
-    line.text = std::string(trimmed);
-    out.lines.push_back(std::move(line));
   }
   return out;
 }
@@ -131,34 +127,33 @@ std::string ScalarText(const JsonValue& v) {
   }
 }
 
-void EmbedJsonValue(const JsonValue& value, const std::string& key,
-                    std::vector<std::string>& parents, EmbeddedFile* out) {
+// Embeds `value`, found under `key`, inside `frame`. Every object with a
+// non-empty key opens a frame; the synthetic root (empty key) does not.
+void EmbedJsonValue(const JsonValue& value, const std::string& key, int32_t frame,
+                    EmbeddedFile* out) {
   switch (value.kind()) {
     case JsonValue::Kind::kObject: {
-      parents.push_back(key);
-      for (const auto& [k, v] : value.members()) {
-        EmbedJsonValue(v, k, parents, out);
+      int32_t inner = frame;
+      if (!key.empty()) {
+        inner = static_cast<int32_t>(out->frames.size());
+        out->frames.push_back(EmbedFrame{out->synthesized.emplace_back(key), frame});
       }
-      parents.pop_back();
+      for (const auto& [k, v] : value.members()) {
+        EmbedJsonValue(v, k, inner, out);
+      }
       break;
     }
     case JsonValue::Kind::kArray: {
       for (const JsonValue& item : value.items()) {
-        EmbedJsonValue(item, key, parents, out);
+        EmbedJsonValue(item, key, frame, out);
       }
       break;
     }
     default: {
-      ContextLine line;
-      line.line_number = static_cast<int>(out->lines.size()) + 1;
-      line.text = key.empty() ? ScalarText(value) : key + " " + ScalarText(value);
-      // Skip the synthetic root parent (empty key).
-      for (const std::string& p : parents) {
-        if (!p.empty()) {
-          line.parents.push_back(p);
-        }
-      }
-      out->lines.push_back(std::move(line));
+      const std::string& text = out->synthesized.emplace_back(
+          key.empty() ? ScalarText(value) : key + " " + ScalarText(value));
+      out->lines.push_back(
+          ContextLine{text, frame, static_cast<int>(out->lines.size()) + 1});
     }
   }
 }
@@ -166,28 +161,21 @@ void EmbedJsonValue(const JsonValue& value, const std::string& key,
 EmbeddedFile EmbedJson(const JsonValue& doc) {
   EmbeddedFile out;
   out.format = FormatCategory::kJson;
-  std::vector<std::string> parents;
-  EmbedJsonValue(doc, "", parents, &out);
+  EmbedJsonValue(doc, "", kNoFrame, &out);
   return out;
 }
 
-}  // namespace
-
-FormatCategory DetectFormat(const std::string& text) {
+bool LooksLikeJson(std::string_view text) {
   std::string_view trimmed = Trim(text);
-  if (trimmed.empty()) {
-    return FormatCategory::kUnknown;
-  }
-  if (trimmed[0] == '{' || trimmed[0] == '[') {
-    if (JsonValue::Parse(text).has_value()) {
-      return FormatCategory::kJson;
-    }
-  }
-  std::vector<std::string> lines = SplitLines(text);
+  return !trimmed.empty() && (trimmed[0] == '{' || trimmed[0] == '[');
+}
+
+// The category of a text that is not JSON, from the shape of its lines.
+FormatCategory ClassifyLines(const std::vector<std::string_view>& lines) {
   size_t non_blank = 0;
   size_t yamlish = 0;
   bool any_indent = false;
-  for (const std::string& line : lines) {
+  for (std::string_view line : lines) {
     std::string_view t = Trim(line);
     if (t.empty()) {
       continue;
@@ -209,28 +197,44 @@ FormatCategory DetectFormat(const std::string& text) {
   return any_indent ? FormatCategory::kIndent : FormatCategory::kFlat;
 }
 
-EmbeddedFile EmbedText(const std::string& text) {
-  return EmbedTextAs(text, DetectFormat(text));
+EmbeddedFile EmbedLines(const std::vector<std::string_view>& lines, FormatCategory format) {
+  switch (format) {
+    case FormatCategory::kYaml:
+      return EmbedIndent(lines, /*yaml=*/true);
+    case FormatCategory::kIndent:
+      return EmbedIndent(lines, /*yaml=*/false);
+    default:
+      return EmbedFlat(lines);
+  }
 }
 
-EmbeddedFile EmbedTextAs(const std::string& text, FormatCategory format) {
-  switch (format) {
-    case FormatCategory::kJson: {
-      auto doc = JsonValue::Parse(text);
-      if (doc.has_value()) {
-        return EmbedJson(*doc);
-      }
-      return EmbedFlat(SplitLines(text));  // Fall back for unparsable input.
-    }
-    case FormatCategory::kYaml:
-      return EmbedIndent(SplitLines(text), /*yaml=*/true);
-    case FormatCategory::kIndent:
-      return EmbedIndent(SplitLines(text), /*yaml=*/false);
-    case FormatCategory::kFlat:
-    case FormatCategory::kUnknown:
-      return EmbedFlat(SplitLines(text));
+}  // namespace
+
+FormatCategory DetectFormat(std::string_view text) {
+  if (LooksLikeJson(text) && JsonValue::Parse(text).has_value()) {
+    return FormatCategory::kJson;
   }
-  return EmbedFlat(SplitLines(text));
+  return ClassifyLines(SplitLineViews(text));
+}
+
+EmbeddedFile EmbedText(std::string_view text) {
+  if (LooksLikeJson(text)) {
+    if (auto doc = JsonValue::Parse(text)) {
+      return EmbedJson(*doc);
+    }
+  }
+  std::vector<std::string_view> lines = SplitLineViews(text);
+  return EmbedLines(lines, ClassifyLines(lines));
+}
+
+EmbeddedFile EmbedTextAs(std::string_view text, FormatCategory format) {
+  if (format == FormatCategory::kJson) {
+    if (auto doc = JsonValue::Parse(text)) {
+      return EmbedJson(*doc);
+    }
+    format = FormatCategory::kFlat;  // Fall back for unparsable input.
+  }
+  return EmbedLines(SplitLineViews(text), format);
 }
 
 }  // namespace concord

@@ -149,7 +149,7 @@ std::optional<size_t> MatchHexAt(std::string_view s, size_t pos, BigInt* out) {
   if (!value) {
     return std::nullopt;
   }
-  *out = *value;
+  *out = std::move(*value);
   return i - pos;
 }
 
@@ -182,7 +182,7 @@ std::optional<size_t> MatchNumAt(std::string_view s, size_t pos, BigInt* out) {
   if (!value) {
     return std::nullopt;
   }
-  *out = *value;
+  *out = std::move(*value);
   return i - pos;
 }
 
@@ -238,10 +238,10 @@ std::optional<Lexer::TokenMatch> Lexer::MatchAt(std::string_view text, size_t po
                                                 Regex::Scratch* scratch) const {
   TokenMatch best;
   bool found = false;
-  auto consider = [&](size_t length, std::string type_name, Value value) {
+  auto consider = [&](size_t length, std::string_view type_name, Value value) {
     if (length > 0 && (!found || length > best.length)) {
       found = true;
-      best = TokenMatch{length, std::move(type_name), std::move(value)};
+      best = TokenMatch{length, type_name, std::move(value)};
     }
   };
 
@@ -252,6 +252,13 @@ std::optional<Lexer::TokenMatch> Lexer::MatchAt(std::string_view text, size_t po
     if (len && *len > 0) {
       consider(*len, token.name, Value::Str(std::string(text.substr(pos, *len))));
     }
+  }
+
+  // Every builtin token starts with a hex digit (numbers, addresses, MACs, `0x`
+  // literals, `false`), a ':' (IPv6 such as `::1`) or a 't' (`true`).
+  char first = text[pos];
+  if (!IsHexDigit(first) && first != ':' && first != 't') {
+    return found ? std::optional<TokenMatch>(std::move(best)) : std::nullopt;
   }
 
   // Builtins, most specific first.
@@ -279,7 +286,7 @@ std::optional<Lexer::TokenMatch> Lexer::MatchAt(std::string_view text, size_t po
   }
   BigInt hex_value;
   if (auto len = MatchHexAt(text, pos, &hex_value)) {
-    consider(*len, "hex", Value::Hex(hex_value));
+    consider(*len, "hex", Value::Hex(std::move(hex_value)));
   }
   bool bool_value = false;
   if (auto len = MatchBoolAt(text, pos, &bool_value)) {
@@ -287,7 +294,7 @@ std::optional<Lexer::TokenMatch> Lexer::MatchAt(std::string_view text, size_t po
   }
   BigInt num_value;
   if (auto len = MatchNumAt(text, pos, &num_value)) {
-    consider(*len, "num", Value::Num(num_value));
+    consider(*len, "num", Value::Num(std::move(num_value)));
   }
 
   if (!found) {
@@ -296,29 +303,46 @@ std::optional<Lexer::TokenMatch> Lexer::MatchAt(std::string_view text, size_t po
   return best;
 }
 
+void Lexer::LexInto(std::string_view text, LineLex* out, Regex::Scratch* scratch) const {
+  out->pattern_named.clear();
+  out->pattern_unnamed.clear();
+  out->untyped.clear();
+  out->values.clear();
+  size_t pos = 0;
+  while (pos < text.size()) {
+    auto match = MatchAt(text, pos, scratch);
+    if (!match) {
+      char c = text[pos++];
+      out->pattern_named.push_back(c);
+      out->pattern_unnamed.push_back(c);
+      out->untyped.push_back(c);
+      continue;
+    }
+    // Hole texts are short, so these appends reuse the buffers' capacity.
+    std::string name = PatternTable::ParamName(out->values.size());
+    out->pattern_named += '[';
+    out->pattern_named += name;
+    out->pattern_named += ':';
+    out->pattern_named += match->type_name;
+    out->pattern_named += ']';
+    out->pattern_unnamed += '[';
+    out->pattern_unnamed += match->type_name;
+    out->pattern_unnamed += ']';
+    out->untyped += '[';
+    out->untyped += name;
+    out->untyped += ":?]";
+    out->values.push_back(std::move(match->value));
+    pos += match->length;
+  }
+}
+
 LineLex Lexer::Lex(std::string_view text) const {
   LineLex out;
   out.pattern_named.reserve(text.size());
   out.pattern_unnamed.reserve(text.size());
   out.untyped.reserve(text.size());
   Regex::Scratch scratch;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    auto match = MatchAt(text, pos, &scratch);
-    if (!match) {
-      char c = text[pos++];
-      out.pattern_named.push_back(c);
-      out.pattern_unnamed.push_back(c);
-      out.untyped.push_back(c);
-      continue;
-    }
-    std::string name = PatternTable::ParamName(out.values.size());
-    out.pattern_named += "[" + name + ":" + match->type_name + "]";
-    out.pattern_unnamed += "[" + match->type_name + "]";
-    out.untyped += "[" + name + ":?]";
-    out.values.push_back(std::move(match->value));
-    pos += match->length;
-  }
+  LexInto(text, &out, &scratch);
   return out;
 }
 

@@ -44,7 +44,12 @@ class Lexer {
   // '#' comments and blank lines are ignored.
   bool LoadDefinitions(const std::string& text, std::string* error = nullptr);
 
-  // Lexes a single (already context-trimmed) line.
+  // Lexes a single (already context-trimmed) line into `out`, replacing its
+  // contents. Reusing one `out` and one `scratch` across lines keeps their
+  // buffers, so a line of builtin tokens allocates nothing.
+  void LexInto(std::string_view text, LineLex* out, Regex::Scratch* scratch) const;
+
+  // LexInto with fresh buffers.
   LineLex Lex(std::string_view text) const;
 
   size_t num_custom_tokens() const { return custom_.size(); }
@@ -57,7 +62,7 @@ class Lexer {
 
   struct TokenMatch {
     size_t length = 0;
-    std::string type_name;  // Token name for the pattern hole.
+    std::string_view type_name;  // Token name for the pattern hole.
     Value value;
   };
 

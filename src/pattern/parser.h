@@ -12,8 +12,9 @@
 #ifndef SRC_PATTERN_PARSER_H_
 #define SRC_PATTERN_PARSER_H_
 
+#include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "src/format/embed.h"
@@ -27,7 +28,7 @@ namespace concord {
 struct ParsedLine {
   PatternId pattern = kInvalidPattern;
   PatternId const_pattern = kInvalidPattern;  // Exact-text pattern (constants mode).
-  std::vector<Value> values;
+  std::vector<Value> values;  // Owned, so lines can move apart from their config.
   int line_number = 0;  // 1-based in the source file.
 };
 
@@ -66,16 +67,32 @@ class ConfigParser {
 
  private:
   ParsedConfig ParseEmbedded(const std::string& name, const EmbeddedFile& embedded,
-                             const std::string& context_root);
+                             std::string_view context_root);
 
-  // Parent raw text -> unnamed pattern text (memoized; parents repeat heavily).
-  const std::string& ParentPattern(const std::string& raw);
+  // The context prefix of `frame` in the file being parsed: the root, then "/"
+  // and the unnamed pattern of each enclosing frame, outermost first. Computed
+  // once per frame, on first use, into frame_text_.
+  std::string_view FramePrefix(const EmbeddedFile& embedded, int32_t frame);
 
   const Lexer* lexer_;
   PatternTable* table_;
   ParseOptions options_;
-  std::unordered_map<std::string, std::string> parent_cache_;
-  std::string scratch_;  // Reused pattern-text probe buffer (see ParseEmbedded).
+  // Buffers reused across lines and files, so a warm parser allocates only what
+  // its results keep.
+  LineLex lex_;
+  Regex::Scratch regex_scratch_;
+  std::string scratch_;  // Pattern-text probe buffer (see ParseEmbedded).
+  // Frame prefixes of the current file, as [begin, end) spans of frame_text_.
+  // The root prefix, for lines outside every frame, is the span `root_`.
+  struct Span {
+    size_t begin = kUnset;  // kUnset: the frame's prefix is not computed yet.
+    size_t end = 0;
+  };
+  static constexpr size_t kUnset = static_cast<size_t>(-1);
+  std::string frame_text_;
+  std::vector<Span> frame_spans_;
+  Span root_;
+  std::vector<int32_t> frame_path_;  // FramePrefix's walk to a computed frame.
 };
 
 }  // namespace concord

@@ -42,17 +42,22 @@ void WriteFile(const std::string& path, const std::string& contents) {
 }
 
 std::vector<std::string> SplitLines(const std::string& text) {
-  std::vector<std::string> lines;
+  std::vector<std::string_view> views = SplitLineViews(text);
+  return std::vector<std::string>(views.begin(), views.end());
+}
+
+std::vector<std::string_view> SplitLineViews(std::string_view text) {
+  std::vector<std::string_view> lines;
   size_t start = 0;
   while (start < text.size()) {
     size_t pos = text.find('\n', start);
-    size_t end = pos == std::string::npos ? text.size() : pos;
+    size_t end = pos == std::string_view::npos ? text.size() : pos;
     size_t len = end - start;
     if (len > 0 && text[end - 1] == '\r') {
       --len;
     }
-    lines.emplace_back(text.substr(start, len));
-    if (pos == std::string::npos) {
+    lines.push_back(text.substr(start, len));
+    if (pos == std::string_view::npos) {
       break;
     }
     start = pos + 1;

@@ -3,6 +3,7 @@
 #define SRC_UTIL_IO_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace concord {
@@ -16,6 +17,9 @@ void WriteFile(const std::string& path, const std::string& contents);
 // Splits text into lines, tolerating both \n and \r\n; no trailing empty line for
 // newline-terminated input.
 std::vector<std::string> SplitLines(const std::string& text);
+
+// SplitLines without copies: the views point into `text`.
+std::vector<std::string_view> SplitLineViews(std::string_view text);
 
 }  // namespace concord
 

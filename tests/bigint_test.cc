@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+
 namespace concord {
 namespace {
 
@@ -92,6 +95,83 @@ TEST(BigInt, SequenceDistances) {
 TEST(BigInt, HashStableAndDiscriminating) {
   EXPECT_EQ(BigInt(123).Hash(), BigInt(123).Hash());
   EXPECT_NE(BigInt(123).Hash(), BigInt(124).Hash());
+}
+
+// 2^32 - 1, 2^32, 2^64 - 1, 2^64 and 2^64 + 1: the limb and inline-form edges.
+constexpr const char* kEdges[] = {"4294967295", "4294967296", "18446744073709551615",
+                                  "18446744073709551616", "18446744073709551617"};
+constexpr const char* kEdgeHex[] = {"ffffffff", "100000000", "ffffffffffffffff",
+                                    "10000000000000000", "10000000000000001"};
+
+BigInt Dec(const char* s) { return *BigInt::FromDecimal(s); }
+
+TEST(BigInt, EdgesRoundTripInBothRenderings) {
+  for (size_t i = 0; i < std::size(kEdges); ++i) {
+    BigInt v = Dec(kEdges[i]);
+    EXPECT_EQ(v.ToDecimal(), kEdges[i]);
+    EXPECT_EQ(v.ToHexString(), kEdgeHex[i]);
+    auto from_hex = BigInt::FromHex(kEdgeHex[i]);
+    ASSERT_TRUE(from_hex.has_value());
+    EXPECT_EQ(*from_hex, v);
+    EXPECT_EQ(from_hex->Hash(), v.Hash());
+    // Leading zeros change neither form.
+    EXPECT_EQ(*BigInt::FromHex(std::string("000") + kEdgeHex[i]), v);
+    EXPECT_EQ(Dec((std::string("00") + kEdges[i]).c_str()), v);
+    EXPECT_EQ(v.ToUint64().has_value(), i < 3) << kEdges[i];
+  }
+}
+
+TEST(BigInt, EdgesCompareInOrder) {
+  for (size_t i = 0; i < std::size(kEdges); ++i) {
+    for (size_t j = 0; j < std::size(kEdges); ++j) {
+      int expected = i < j ? -1 : (i > j ? 1 : 0);
+      EXPECT_EQ(Dec(kEdges[i]).Compare(Dec(kEdges[j])), expected) << i << " vs " << j;
+    }
+  }
+}
+
+TEST(BigInt, EdgesAddAndSubtractAcrossTheInlineBoundary) {
+  BigInt one(1);
+  for (size_t i = 0; i + 1 < std::size(kEdges); ++i) {
+    BigInt lo = Dec(kEdges[i]);
+    BigInt hi = Dec(kEdges[i + 1]);
+    BigInt gap = hi.AbsDiff(lo);
+    EXPECT_EQ(lo.Add(gap), hi);
+    EXPECT_EQ(gap.Add(lo), hi);
+    EXPECT_EQ(hi.AbsDiff(gap), lo);
+    EXPECT_EQ(lo.AbsDiff(hi), gap);
+  }
+  EXPECT_EQ(Dec("18446744073709551615").Add(one).ToDecimal(), "18446744073709551616");
+  EXPECT_EQ(Dec("18446744073709551616").Add(one).ToDecimal(), "18446744073709551617");
+  EXPECT_EQ(Dec("4294967295").Add(one).ToHexString(), "100000000");
+  EXPECT_EQ(Dec("18446744073709551617").AbsDiff(one).ToHexString(), "10000000000000000");
+  EXPECT_EQ(Dec("18446744073709551616").AbsDiff(Dec("18446744073709551616")), BigInt());
+}
+
+TEST(BigInt, WideDifferenceFallsBackToTheInlineForm) {
+  // 2^64 + 5 and 2^64 are both wide; their difference must be the plain 5, so
+  // equality, order and hashing cannot tell it from BigInt(5).
+  BigInt wide = Dec("18446744073709551621");
+  BigInt diff = wide.AbsDiff(Dec("18446744073709551616"));
+  EXPECT_EQ(diff, BigInt(5));
+  EXPECT_EQ(diff.Compare(BigInt(5)), 0);
+  EXPECT_EQ(diff.Hash(), BigInt(5).Hash());
+  EXPECT_EQ(diff.ToUint64(), 5u);
+  EXPECT_EQ(Dec("18446744073709551616").AbsDiff(Dec("18446744073709551615")), BigInt(1));
+}
+
+TEST(BigInt, HashIsPinned) {
+  // Hashes feed value hashing and so every hash-keyed index; they must not move
+  // with the representation. Pinned from the all-limbs implementation.
+  EXPECT_EQ(BigInt().Hash(), 0x9e3779b97f4a7c15ULL);
+  EXPECT_EQ(BigInt(5).Hash(), 0x2b5b3577afe36216ULL);
+  EXPECT_EQ(Dec("4294967295").Hash(), 0x2b5b3577afe361e8ULL);
+  EXPECT_EQ(Dec("4294967296").Hash(), 0xcaff1e3d2cebad1fULL);
+  EXPECT_EQ(Dec("18446744073709551615").Hash(), 0xcaff1e3d2cebaddaULL);
+  EXPECT_EQ(Dec("18446744073709551616").Hash(), 0x387848e608b60618ULL);
+  EXPECT_EQ(Dec("18446744073709551617").Hash(), 0x387848e608b61609ULL);
+  EXPECT_EQ(Dec("18446744073709551621").Hash(), 0x387848e608b4648cULL);
+  EXPECT_EQ(Dec("340282366920938463463374607431768211456").Hash(), 0x035ad432c698a90aULL);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "src/format/json.h"
 #include "src/store/store.h"
@@ -510,6 +512,47 @@ TEST_F(CliTest, CheckProfileCoversTheCheckStages) {
   // The config parse bills to the command that ran it.
   EXPECT_NE(out.find("check/parse"), std::string::npos) << out;
   EXPECT_EQ(out.find("learn/parse"), std::string::npos) << out;
+}
+
+// The "total ms" column of one `--profile` row, or -1 when the row is missing.
+double ProfileMillis(const std::string& profile, const std::string& stage) {
+  std::istringstream in(profile);
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream row(line);
+    std::string name;
+    uint64_t runs = 0;
+    double total_ms = 0;
+    if (row >> name >> runs >> total_ms && name == stage) {
+      return total_ms;
+    }
+  }
+  return -1;
+}
+
+TEST_F(CliTest, ProfileWallCoversParseAndTotal) {
+  // `<verb>/parse` runs before `<verb>/total` opens, so only a span around both
+  // lets the rows tile the run.
+  std::string learn_out;
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
+                 ContractsPath(), "--profile"},
+                &learn_out),
+            0);
+  std::string check_out;
+  ASSERT_EQ(Run({"check", "--configs", ConfigsGlob(), "--contracts", ContractsPath(),
+                 "--profile"},
+                &check_out),
+            0);
+  for (const auto& [verb, out] : {std::pair<std::string, std::string>{"learn", learn_out},
+                                  std::pair<std::string, std::string>{"check", check_out}}) {
+    double wall = ProfileMillis(out, verb + "/wall");
+    double parse = ProfileMillis(out, verb + "/parse");
+    double total = ProfileMillis(out, verb + "/total");
+    ASSERT_GT(wall, 0) << out;
+    ASSERT_GE(parse, 0) << out;
+    ASSERT_GE(total, 0) << out;
+    EXPECT_GE(wall, parse + total) << out;
+  }
 }
 
 TEST_F(CliTest, TraceOutRequiresProfile) {

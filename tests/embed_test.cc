@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <vector>
+
 namespace concord {
 namespace {
 
@@ -24,6 +27,15 @@ router bgp 65015
       rd 10.14.14.117:10251
 )";
 
+// Raw texts of the frames enclosing `line`, outermost first.
+std::vector<std::string_view> Parents(const EmbeddedFile& f, const ContextLine& line) {
+  std::vector<std::string_view> parents;
+  for (int32_t id = line.frame; id != kNoFrame; id = f.frames[static_cast<size_t>(id)].parent) {
+    parents.insert(parents.begin(), f.frames[static_cast<size_t>(id)].text);
+  }
+  return parents;
+}
+
 TEST(DetectFormat, Categories) {
   EXPECT_EQ(DetectFormat(kAristaConfig), FormatCategory::kIndent);
   EXPECT_EQ(DetectFormat("{\"a\": 1}"), FormatCategory::kJson);
@@ -33,6 +45,23 @@ TEST(DetectFormat, Categories) {
   EXPECT_EQ(DetectFormat("name: test\nitems:\n  - a\n  - b\n"), FormatCategory::kYaml);
   EXPECT_EQ(DetectFormat(""), FormatCategory::kUnknown);
   EXPECT_EQ(DetectFormat("   \n  \n"), FormatCategory::kUnknown);
+}
+
+TEST(EmbedText, LinesAreViewsIntoTheText) {
+  std::string text = "interface Loopback0\n   ip address 10.14.14.34\r\n";
+  EmbeddedFile f = EmbedText(text);
+  ASSERT_EQ(f.lines.size(), 2u);
+  EXPECT_EQ(f.lines[1].text, "ip address 10.14.14.34");
+  EXPECT_EQ(f.lines[1].text.data(), text.data() + text.find("ip address"));
+  EXPECT_EQ(f.frames[0].text.data(), text.data());
+  EXPECT_TRUE(f.synthesized.empty());
+}
+
+TEST(EmbedJson, UnparsableJsonEmbedsFlat) {
+  EmbeddedFile f = EmbedTextAs("{not json\n  x\n", FormatCategory::kJson);
+  EXPECT_EQ(f.format, FormatCategory::kFlat);
+  ASSERT_EQ(f.lines.size(), 2u);
+  EXPECT_EQ(f.lines[1].frame, kNoFrame);
 }
 
 TEST(DetectFormat, MalformedJsonFallsThrough) {
@@ -53,16 +82,23 @@ TEST(EmbedIndent, ParentsFollowIndentation) {
     }
   }
   ASSERT_NE(rt, nullptr);
-  ASSERT_EQ(rt->parents.size(), 2u);
-  EXPECT_EQ(rt->parents[0], "interface Port-Channel110");
-  EXPECT_EQ(rt->parents[1], "evpn ether-segment");
+  std::vector<std::string_view> parents = Parents(f, *rt);
+  ASSERT_EQ(parents.size(), 2u);
+  EXPECT_EQ(parents[0], "interface Port-Channel110");
+  EXPECT_EQ(parents[1], "evpn ether-segment");
+  // The evpn block's frame is the line itself, nested in the port channel's.
+  const EmbedFrame& evpn = f.frames[static_cast<size_t>(rt->frame)];
+  EXPECT_EQ(evpn.text, "evpn ether-segment");
+  ASSERT_NE(evpn.parent, kNoFrame);
+  EXPECT_EQ(f.frames[static_cast<size_t>(evpn.parent)].text, "interface Port-Channel110");
+  EXPECT_EQ(f.frames[static_cast<size_t>(evpn.parent)].parent, kNoFrame);
 }
 
 TEST(EmbedIndent, TopLevelLinesHaveNoParents) {
   EmbeddedFile f = EmbedText(kAristaConfig);
   for (const auto& line : f.lines) {
     if (line.text == "hostname DEV1" || line.text == "router bgp 65015") {
-      EXPECT_TRUE(line.parents.empty()) << line.text;
+      EXPECT_EQ(line.frame, kNoFrame) << line.text;
     }
   }
 }
@@ -74,7 +110,7 @@ TEST(EmbedIndent, SeparatorResetsContext) {
   for (const auto& line : f.lines) {
     if (line.text == "!") {
       ++separators;
-      EXPECT_TRUE(line.parents.empty());
+      EXPECT_EQ(line.frame, kNoFrame);
     }
   }
   EXPECT_EQ(separators, 4);
@@ -89,9 +125,10 @@ TEST(EmbedIndent, NestedBlocks) {
     }
   }
   ASSERT_NE(rd, nullptr);
-  ASSERT_EQ(rd->parents.size(), 2u);
-  EXPECT_EQ(rd->parents[0], "router bgp 65015");
-  EXPECT_EQ(rd->parents[1], "vlan 251");
+  std::vector<std::string_view> parents = Parents(f, *rd);
+  ASSERT_EQ(parents.size(), 2u);
+  EXPECT_EQ(parents[0], "router bgp 65015");
+  EXPECT_EQ(parents[1], "vlan 251");
 }
 
 TEST(EmbedIndent, LineNumbersAreOriginal) {
@@ -105,8 +142,11 @@ TEST(EmbedIndent, SiblingPopsPreviousBlock) {
   EmbeddedFile f = EmbedText("block1\n  child1\nblock2\n  child2\n");
   ASSERT_EQ(f.lines.size(), 4u);
   EXPECT_EQ(f.lines[3].text, "child2");
-  ASSERT_EQ(f.lines[3].parents.size(), 1u);
-  EXPECT_EQ(f.lines[3].parents[0], "block2");
+  ASSERT_EQ(Parents(f, f.lines[3]), std::vector<std::string_view>{"block2"});
+  // Siblings share their block's frame; the next block opens a new one.
+  EXPECT_EQ(f.lines[1].frame, 0);
+  EXPECT_EQ(f.lines[3].frame, 2);
+  EXPECT_NE(f.lines[1].frame, f.lines[3].frame);
 }
 
 TEST(EmbedJson, PathsBecomeParents) {
@@ -118,18 +158,25 @@ TEST(EmbedJson, PathsBecomeParents) {
   ASSERT_EQ(f.format, FormatCategory::kJson);
   ASSERT_EQ(f.lines.size(), 2u);
   EXPECT_EQ(f.lines[0].text, "vrfName mgmt");
-  ASSERT_EQ(f.lines[0].parents.size(), 1u);
-  EXPECT_EQ(f.lines[0].parents[0], "nfInfos");
+  EXPECT_EQ(Parents(f, f.lines[0]), std::vector<std::string_view>{"nfInfos"});
   EXPECT_EQ(f.lines[1].text, "vlanId 251");
+  // Both leaves of the one array element sit in one key frame; the root object
+  // opens none.
+  ASSERT_EQ(f.frames.size(), 1u);
+  EXPECT_EQ(f.frames[0].text, "nfInfos");
+  EXPECT_EQ(f.frames[0].parent, kNoFrame);
+  EXPECT_EQ(f.lines[0].frame, 0);
+  EXPECT_EQ(f.lines[1].frame, 0);
 }
 
 TEST(EmbedJson, DeepNesting) {
   EmbeddedFile f = EmbedText(R"({"a": {"b": {"c": 5}}})");
   ASSERT_EQ(f.lines.size(), 1u);
   EXPECT_EQ(f.lines[0].text, "c 5");
-  ASSERT_EQ(f.lines[0].parents.size(), 2u);
-  EXPECT_EQ(f.lines[0].parents[0], "a");
-  EXPECT_EQ(f.lines[0].parents[1], "b");
+  EXPECT_EQ(Parents(f, f.lines[0]), (std::vector<std::string_view>{"a", "b"}));
+  ASSERT_EQ(f.frames.size(), 2u);
+  EXPECT_EQ(f.frames[1].text, "b");
+  EXPECT_EQ(f.frames[1].parent, 0);
 }
 
 TEST(EmbedJson, ArrayOfScalars) {
@@ -137,7 +184,8 @@ TEST(EmbedJson, ArrayOfScalars) {
   ASSERT_EQ(f.lines.size(), 2u);
   EXPECT_EQ(f.lines[0].text, "servers 10.0.0.1");
   EXPECT_EQ(f.lines[1].text, "servers 10.0.0.2");
-  EXPECT_TRUE(f.lines[0].parents.empty());
+  EXPECT_EQ(f.lines[0].frame, kNoFrame);
+  EXPECT_TRUE(f.frames.empty());
 }
 
 TEST(EmbedYaml, ListMarkersFoldIntoIndent) {
@@ -145,18 +193,21 @@ TEST(EmbedYaml, ListMarkersFoldIntoIndent) {
   ASSERT_EQ(f.format, FormatCategory::kYaml);
   ASSERT_EQ(f.lines.size(), 3u);
   EXPECT_EQ(f.lines[1].text, "vrfName: mgmt");
-  ASSERT_EQ(f.lines[1].parents.size(), 1u);
-  EXPECT_EQ(f.lines[1].parents[0], "nfInfos:");
+  EXPECT_EQ(Parents(f, f.lines[1]), std::vector<std::string_view>{"nfInfos:"});
   EXPECT_EQ(f.lines[2].text, "vlanId: 251");
-  ASSERT_EQ(f.lines[2].parents.size(), 1u);
-  EXPECT_EQ(f.lines[2].parents[0], "nfInfos:");
+  EXPECT_EQ(Parents(f, f.lines[2]), std::vector<std::string_view>{"nfInfos:"});
+  // Both list fields point at the key line's frame.
+  EXPECT_EQ(f.lines[1].frame, 0);
+  EXPECT_EQ(f.lines[2].frame, 0);
+  EXPECT_EQ(f.frames[0].text, "nfInfos:");
 }
 
 TEST(EmbedFlat, NoParentsEver) {
   EmbeddedFile f = EmbedTextAs(kAristaConfig, FormatCategory::kFlat);
   for (const auto& line : f.lines) {
-    EXPECT_TRUE(line.parents.empty());
+    EXPECT_EQ(line.frame, kNoFrame);
   }
+  EXPECT_TRUE(f.frames.empty());
   // Same number of non-blank lines as the indent embedding.
   EXPECT_EQ(f.lines.size(), EmbedText(kAristaConfig).lines.size());
 }
@@ -165,7 +216,7 @@ TEST(EmbedTextAs, ForcedFlatDisablesEmbedding) {
   // This is the --no-embedding ablation from Figure 7.
   EmbeddedFile f = EmbedTextAs("a\n  b\n", FormatCategory::kFlat);
   ASSERT_EQ(f.lines.size(), 2u);
-  EXPECT_TRUE(f.lines[1].parents.empty());
+  EXPECT_EQ(f.lines[1].frame, kNoFrame);
   EXPECT_EQ(f.lines[1].text, "b");
 }
 

@@ -67,13 +67,17 @@ TEST_P(FormatFuzz, FlatEmbeddingPreservesNonBlankLineCount) {
 }
 
 TEST_P(FormatFuzz, IndentEmbeddingParentsAreConsistent) {
-  // Parents must be earlier non-blank lines, and the chain length is bounded by the
-  // line's position.
+  // Parents must be earlier non-blank lines: a line's frame and each frame's
+  // parent come strictly earlier, so every chain ends and its length is bounded
+  // by the line's position.
   for (int i = 0; i < 100; ++i) {
     std::string text = RandomText(300, true);
     EmbeddedFile embedded = EmbedTextAs(text, FormatCategory::kIndent);
     for (size_t li = 0; li < embedded.lines.size(); ++li) {
-      EXPECT_LE(embedded.lines[li].parents.size(), li);
+      EXPECT_LT(embedded.lines[li].frame, static_cast<int32_t>(li));
+    }
+    for (size_t f = 0; f < embedded.frames.size(); ++f) {
+      EXPECT_LT(embedded.frames[f].parent, static_cast<int32_t>(f));
     }
   }
 }

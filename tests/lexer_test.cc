@@ -179,5 +179,71 @@ TEST(Lexer, DefaultRoutePrefix) {
   EXPECT_EQ(lex.values[1], Value::Pfx4(*Ipv4Network::Parse("0.0.0.0/0")));
 }
 
+void ExpectSameLex(const LineLex& actual, const LineLex& expected) {
+  EXPECT_EQ(actual.pattern_named, expected.pattern_named);
+  EXPECT_EQ(actual.pattern_unnamed, expected.pattern_unnamed);
+  EXPECT_EQ(actual.untyped, expected.untyped);
+  EXPECT_EQ(actual.values, expected.values);
+}
+
+TEST(Lexer, LexIntoReusedBufferMatchesFreshLex) {
+  // A long line leaves long buffers behind; the short line after it must not
+  // see any of their old contents.
+  Lexer lexer;
+  ASSERT_TRUE(lexer.AddCustomToken("iface", "Ethernet[0-9/]+"));
+  const std::string long_line =
+      "neighbor 2001:db8::1/64 remote-as 65015 route-map RM-IN in Ethernet3/1 "
+      "mac 00:00:0c:d3:00:6e id 340282366920938463463374607431768211456 enabled true";
+  LineLex reused;
+  Regex::Scratch scratch;
+  for (const std::string& text : {long_line, std::string("vlan 251"), std::string("!"),
+                                  std::string(""), long_line, std::string("rd 10.0.0.1:7")}) {
+    lexer.LexInto(text, &reused, &scratch);
+    ExpectSameLex(reused, lexer.Lex(text));
+  }
+  EXPECT_EQ(reused.pattern_named, "rd [a:ip4]:[b:num]");
+  ASSERT_EQ(reused.values.size(), 2u);
+}
+
+TEST(Lexer, BuiltinTokensAtEveryStartCharacter) {
+  // Builtins are only tried where a hex digit, ':' or 't' starts; these lines
+  // begin a token with each of them.
+  Lexer lexer;
+  LineLex ip6 = lexer.Lex("::1");
+  EXPECT_EQ(ip6.pattern_named, "[a:ip6]");
+  EXPECT_EQ(ip6.values[0], Value::Ip6(*Ipv6Address::Parse("::1")));
+  EXPECT_EQ(lexer.Lex("neighbor ::1/128 remote-as 65000").pattern_named,
+            "neighbor [a:pfx6] remote-as [b:num]");
+  EXPECT_EQ(lexer.Lex("true").pattern_named, "[a:bool]");
+  EXPECT_EQ(lexer.Lex("false").values[0], Value::Bool(false));
+  LineLex hex = lexer.Lex("0x1f");
+  EXPECT_EQ(hex.pattern_named, "[a:hex]");
+  EXPECT_EQ(hex.values[0], Value::Hex(BigInt(0x1f)));
+  EXPECT_EQ(lexer.Lex("interface Port-Channel110").pattern_named,
+            "interface Port-Channel[a:num]");
+  EXPECT_EQ(lexer.Lex(":ab:: fe80::1%eth0 t1 ::").pattern_named,
+            ":[a:ip6] [b:ip6]%eth[c:num] t[d:num] ::");
+}
+
+TEST(Lexer, CustomTokenStartingOutsideTheBuiltinAlphabet) {
+  // `P` and `E` start no builtin token, yet custom tokens still run there.
+  Lexer lexer;
+  ASSERT_TRUE(lexer.AddCustomToken("iface", "(Port-Channel|Ethernet)[0-9/]+"));
+  LineLex lex = lexer.Lex("interface Port-Channel110");
+  EXPECT_EQ(lex.pattern_named, "interface [a:iface]");
+  ASSERT_EQ(lex.values.size(), 1u);
+  EXPECT_EQ(lex.values[0], Value::Str("Port-Channel110"));
+  EXPECT_EQ(lexer.Lex("Ethernet3/1 vlan 10 untrusted true").pattern_named,
+            "[a:iface] vlan [b:num] untrusted [c:bool]");
+}
+
+TEST(Lexer, NumbersBeyond64Bits) {
+  Lexer lexer;
+  LineLex lex = lexer.Lex("id 18446744073709551616 x 0xFFFFFFFFFFFFFFFFF");
+  EXPECT_EQ(lex.pattern_named, "id [a:num] x [b:hex]");
+  EXPECT_EQ(lex.values[0].ToString(), "18446744073709551616");
+  EXPECT_EQ(lex.values[1].ToString(), "fffffffffffffffff");
+}
+
 }  // namespace
 }  // namespace concord

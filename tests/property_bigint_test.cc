@@ -2,7 +2,10 @@
 // defined, and string conversions round-trip at any width.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/util/rng.h"
 #include "src/util/strings.h"
@@ -84,6 +87,102 @@ TEST_P(BigIntProperty, CompareIsTotalOrder) {
     EXPECT_EQ(a.Compare(b), -b.Compare(a));
     if (a.Compare(b) <= 0 && b.Compare(c) <= 0) {
       EXPECT_LE(a.Compare(c), 0);
+    }
+  }
+}
+
+// Reference arithmetic on little-endian hex digit vectors, independent of
+// BigInt's limbs and its inline form.
+using HexDigits = std::vector<int>;
+
+HexDigits ToDigits(const std::string& hex) {
+  HexDigits d;
+  for (size_t i = hex.size(); i-- > 0;) {
+    d.push_back(hex[i] <= '9' ? hex[i] - '0' : hex[i] - 'a' + 10);
+  }
+  while (!d.empty() && d.back() == 0) {
+    d.pop_back();
+  }
+  return d;
+}
+
+std::string FromDigits(const HexDigits& d) {
+  static constexpr char kHexDigits[] = "0123456789abcdef";
+  std::string s;
+  for (size_t i = d.size(); i-- > 0;) {
+    s.push_back(kHexDigits[d[i]]);
+  }
+  return s.empty() ? "0" : s;
+}
+
+int CompareDigits(const HexDigits& a, const HexDigits& b) {
+  if (a.size() != b.size()) {
+    return a.size() < b.size() ? -1 : 1;
+  }
+  for (size_t i = a.size(); i-- > 0;) {
+    if (a[i] != b[i]) {
+      return a[i] < b[i] ? -1 : 1;
+    }
+  }
+  return 0;
+}
+
+HexDigits AddDigits(const HexDigits& a, const HexDigits& b) {
+  HexDigits out;
+  int carry = 0;
+  for (size_t i = 0; i < std::max(a.size(), b.size()) || carry != 0; ++i) {
+    int sum = (i < a.size() ? a[i] : 0) + (i < b.size() ? b[i] : 0) + carry;
+    out.push_back(sum % 16);
+    carry = sum / 16;
+  }
+  return out;
+}
+
+HexDigits SubDigits(const HexDigits& hi, const HexDigits& lo) {  // hi >= lo.
+  HexDigits out;
+  int borrow = 0;
+  for (size_t i = 0; i < hi.size(); ++i) {
+    int cur = hi[i] - (i < lo.size() ? lo[i] : 0) - borrow;
+    borrow = cur < 0 ? 1 : 0;
+    out.push_back(cur + 16 * borrow);
+  }
+  while (!out.empty() && out.back() == 0) {
+    out.pop_back();
+  }
+  return out;
+}
+
+TEST_P(BigIntProperty, WideValuesAgreeWithDigitArithmetic) {
+  static constexpr char kHexDigits[] = "0123456789abcdef";
+  auto random_hex = [this] {
+    // Mostly 15..18 digits, so values straddle the 2^64 inline boundary.
+    size_t digits = rng_.Below(4) == 0 ? 1 + rng_.Below(40) : 15 + rng_.Below(4);
+    std::string s;
+    for (size_t k = 0; k < digits; ++k) {
+      s.push_back(kHexDigits[rng_.Below(16)]);
+    }
+    return s;
+  };
+  for (int i = 0; i < 300; ++i) {
+    std::string ha = random_hex();
+    std::string hb = rng_.Below(8) == 0 ? ha : random_hex();
+    BigInt a = *BigInt::FromHex(ha);
+    BigInt b = *BigInt::FromHex(hb);
+    HexDigits da = ToDigits(ha);
+    HexDigits db = ToDigits(hb);
+    int order = CompareDigits(da, db);
+    EXPECT_EQ(a.Compare(b), order) << ha << " " << hb;
+    std::string sum = FromDigits(AddDigits(da, db));
+    std::string diff = FromDigits(order >= 0 ? SubDigits(da, db) : SubDigits(db, da));
+    for (const auto& [got, want] : {std::pair{a.Add(b), sum}, std::pair{a.AbsDiff(b), diff}}) {
+      EXPECT_EQ(got.ToHexString(), want) << ha << " " << hb;
+      // One representation per value: re-parsing either rendering gives an
+      // equal value with an equal hash.
+      BigInt reparsed = *BigInt::FromDecimal(got.ToDecimal());
+      EXPECT_EQ(reparsed, got);
+      EXPECT_EQ(reparsed.Hash(), got.Hash());
+      EXPECT_EQ(BigInt::FromHex(want)->Hash(), got.Hash());
+      EXPECT_EQ(got.ToUint64().has_value(), want.size() <= 16) << want;
     }
   }
 }
